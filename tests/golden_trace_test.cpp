@@ -13,6 +13,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "obs/bai_trace.h"
 #include "scenario/scenario.h"
@@ -34,12 +35,15 @@ std::string GoldenPath(const std::string& name) {
 }
 
 /// Run `config` with a trace sink attached and return the trace CSV.
-std::string TraceCsv(ScenarioConfig config) {
+/// `result`, when given, receives the run's ScenarioResult.
+std::string TraceCsv(ScenarioConfig config,
+                     ScenarioResult* result = nullptr) {
   BaiTraceSink trace;
   config.bai_trace = &trace;
   // Golden bytes must not depend on solver wall clock.
   config.oneapi.deterministic_timing = true;
-  RunScenario(config);
+  ScenarioResult run = RunScenario(config);
+  if (result != nullptr) *result = std::move(run);
   std::ostringstream out;
   trace.WriteCsv(out);
   return out.str();
@@ -98,6 +102,27 @@ TEST(GoldenTrace, TestbedStaticFlareRelaxed) {
   config.seed = 1;
   config.static_itbs = 15;
   CheckAgainstGolden("fig8_testbed_flare_relaxed.csv", TraceCsv(config));
+}
+
+// Session churn on the testbed cell: arrivals and departures on top of
+// the static population, with utility-drop admission at a floor that
+// rejects some arrivals. Pins the churn wiring end to end: the FLARE
+// cell's solver under churn and the admission controller's pinned-floor
+// solve.
+TEST(GoldenTrace, TestbedFlareChurn) {
+  ScenarioConfig config = TestbedPreset(Scheme::kFlare);
+  config.duration_s = 30.0;
+  config.seed = 1;
+  config.churn.enabled = true;
+  config.churn.arrival_rate_per_s = 1.0;
+  config.churn.mean_hold_s = 30.0;
+  config.churn.admission.policy = AdmissionPolicy::kUtilityDrop;
+  config.churn.admission.objective_floor = -1.0;
+  ScenarioResult result;
+  const std::string csv = TraceCsv(config, &result);
+  EXPECT_GT(result.sessions_blocked, 0u);
+  EXPECT_LT(result.sessions_blocked, result.sessions_arrived);
+  CheckAgainstGolden("testbed_flare_churn.csv", csv);
 }
 
 }  // namespace
