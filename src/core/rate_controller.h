@@ -25,13 +25,9 @@ namespace flare {
 enum class SolverMode {
   kGreedyDiscrete,  // the paper's "exact (3)-(4)" path
   kContinuousRelaxation,
-  /// Warm-started concave-envelope sweep (IncrementalSolver): the solver
-  /// persists per-flow state across BAIs so flow-set deltas (session
-  /// churn) re-solve incrementally instead of from scratch.
-  kIncrementalSweep,
-  /// Batched structure-of-arrays sweep (BatchSolver): bit-identical
-  /// results to kIncrementalSweep's cold path, rebuilt from flat arrays
-  /// every BAI — the 10k+-flows-per-solve / many-cells-per-thread layout.
+  /// Concave-envelope sweep (BatchSolver, bit-identical to SolveSweep),
+  /// rebuilt from flat arrays every BAI. The default for FLARE cells under
+  /// churn and for the flare_oneapid daemon.
   kBatchedSweep,
 };
 
@@ -140,9 +136,6 @@ class FlareRateController {
 
   FlareParams params_;
   std::map<FlowId, FlowCtl> flows_;
-  /// Persistent warm state for kIncrementalSweep (unused by the other
-  /// modes); RemoveFlow keeps it in sync with flows_.
-  IncrementalSolver sweep_;
   /// Scratch-reusing SoA solver for kBatchedSweep (stateless between
   /// solves beyond reusable buffers, so flow-set changes need no sync).
   BatchSolver batch_;

@@ -126,15 +126,15 @@ struct ScenarioConfig {
   /// Session churn (arrivals/departures mid-run) + admission control.
   /// The n_video/n_data/n_conventional populations above stay as a static
   /// base load; churned sessions come and go on top of it. For FLARE
-  /// schemes with churn.warm_solver, the greedy solver is swapped for the
-  /// warm-started incremental sweep. AVIS gateway registration is static
+  /// schemes under churn, the greedy solver is swapped for the batched
+  /// concave-envelope sweep. AVIS gateway registration is static
   /// only (the gateway has no removal path), so churned sessions under
   /// kAvis run without gateway MBR caps.
   ChurnConfig churn;
 
   /// Optional override of the FLARE solver chosen by the scheme/churn
-  /// wiring (greedy for kFlare, continuous for kFlareRelaxed, incremental
-  /// sweep under churn.warm_solver). Set to force one — e.g.
+  /// wiring (greedy for kFlare, continuous for kFlareRelaxed, batched
+  /// sweep for kFlare under churn). Set to force one — e.g.
   /// SolverMode::kBatchedSweep for metro-scale cells — in every FLARE
   /// cell of the run; non-FLARE schemes ignore it.
   std::optional<SolverMode> solver_override;

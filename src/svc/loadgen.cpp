@@ -75,6 +75,7 @@ struct Client {
   int fd = -1;
   int session = -1;
   bool welcomed = false;
+  bool blocked = false;
   std::string inbox;
   double efficiency = 0.0;
   /// When the sample the next assignment will consume became available.
@@ -93,6 +94,7 @@ void LoadGenResult::ExportTo(MetricsRegistry* registry) const {
   registry->GetCounter("svc.oneapi.loadgen.admitted").Add(admitted);
   registry->GetCounter("svc.oneapi.loadgen.blocked").Add(blocked);
   registry->GetCounter("svc.oneapi.loadgen.departed").Add(departed);
+  registry->GetCounter("svc.oneapi.loadgen.abandoned").Add(abandoned);
   registry->GetCounter("svc.oneapi.loadgen.assignments").Add(assignments);
   registry->GetCounter("svc.oneapi.loadgen.connect_failures")
       .Add(connect_failures);
@@ -202,6 +204,14 @@ LoadGenResult LoadGenerator::Run() {
     if (client.fd >= 0) ::close(client.fd);
     client.fd = -1;
   };
+  // Every connected session leaves the client table through here exactly
+  // once; one that never got a verdict (welcome or kOverload) is
+  // abandoned, which keeps attempted == admitted + blocked +
+  // connect_failures + abandoned.
+  const auto retire = [&](Client& client) {
+    if (!client.welcomed && !client.blocked) result.abandoned += 1;
+    close_client(client);
+  };
 
   for (;;) {
     const double elapsed = SecondsSince(start);
@@ -243,11 +253,9 @@ LoadGenResult LoadGenerator::Run() {
       } else {
         const auto it = clients.find(event.session);
         if (it != clients.end()) {
-          if (it->second.fd >= 0) {
-            SendFrame(it->second.fd, FrameType::kBye, "");
-            close_client(it->second);
-            result.departed += 1;
-          }
+          SendFrame(it->second.fd, FrameType::kBye, "");
+          if (it->second.welcomed) result.departed += 1;
+          retire(it->second);
           clients.erase(it);
         }
       }
@@ -289,9 +297,8 @@ LoadGenResult LoadGenerator::Run() {
       char buf[4096];
       const ssize_t n = ::recv(client.fd, buf, sizeof(buf), 0);
       if (n <= 0) {
-        // Server closed (shutdown or post-reject): a session that never
-        // got past admission was counted at the kOverload frame already.
-        close_client(client);
+        // Server closed (shutdown, or a close with no verdict).
+        retire(client);
         clients.erase(it);
         continue;
       }
@@ -307,8 +314,8 @@ LoadGenResult LoadGenerator::Run() {
           break;
         }
         if (frame.type == FrameType::kWelcome) {
+          if (!client.welcomed) result.admitted += 1;
           client.welcomed = true;
-          result.admitted += 1;
         } else if (frame.type == FrameType::kAssignment) {
           result.assignments += 1;
           turnarounds_us.push_back(
@@ -345,7 +352,10 @@ LoadGenResult LoadGenerator::Run() {
             break;
           }
         } else if (frame.type == FrameType::kOverload) {
-          if (!client.welcomed) result.blocked += 1;
+          if (!client.welcomed) {
+            client.blocked = true;
+            result.blocked += 1;
+          }
           drop = true;
           break;
         } else {
@@ -355,13 +365,13 @@ LoadGenResult LoadGenerator::Run() {
         }
       }
       if (drop) {
-        close_client(client);
+        retire(client);
         clients.erase(it);
       }
     }
   }
 
-  for (auto& [session, client] : clients) close_client(client);
+  for (auto& [session, client] : clients) retire(client);
   clients.clear();
 
   result.wall_s = SecondsSince(start);

@@ -19,7 +19,9 @@
 // p50/p95/p99 are the control plane's SLO numbers, dominated by the BAI
 // wait (EXPERIMENTS.md maps them back to the paper's cadence).
 // kOverload before a welcome counts the session as blocked — the
-// admission controller's answer, measured from the client side.
+// admission controller's answer, measured from the client side. A session
+// that leaves with no verdict at all counts as abandoned, so the ledger
+// attempted == admitted + blocked + connect_failures + abandoned balances.
 #pragma once
 
 #include <cstdint>
@@ -68,11 +70,17 @@ struct LoadGenResult {
   /// every admitted session saw a clean lifecycle.
   bool completed = false;
   std::uint64_t attempted = 0;
-  std::uint64_t admitted = 0;
+  /// Session ledger: every attempted session lands in exactly one of
+  /// admitted, blocked, connect_failures and abandoned.
+  std::uint64_t admitted = 0;  // welcomed
   std::uint64_t blocked = 0;   // kOverload before welcome
-  std::uint64_t departed = 0;  // clean kBye teardowns
-  std::uint64_t assignments = 0;
   std::uint64_t connect_failures = 0;
+  /// Connected but no verdict: departed or closed (by either side, or at
+  /// the end of an aborted replay) before a welcome or kOverload, or hit
+  /// a protocol error first.
+  std::uint64_t abandoned = 0;
+  std::uint64_t departed = 0;  // kBye teardowns of welcomed sessions
+  std::uint64_t assignments = 0;
   std::uint64_t protocol_errors = 0;
   /// Assignments that carried the matching trace-context echo (0 with
   /// tracing off or against a pre-extension daemon).

@@ -1,5 +1,5 @@
 // Tests for the session-churn subsystem: engine lifecycle/determinism,
-// admission policies, warm-started sweep exactness under flow-set deltas,
+// admission policies, utility-drop exactness under flow-set deltas,
 // churn-enabled scenarios, and regression tests for the teardown paths
 // (greedy timers, UE slot release, connect bookkeeping, mid-run session
 // destruction) that used to leak per-flow state.
@@ -288,7 +288,7 @@ TEST(Admission, EstimateRefreshChangesTheDecision) {
   EXPECT_TRUE(controller.Decide(MakeRequest(9)).admit);
 }
 
-// --------------------------------------------- warm-started sweep solver
+// ------------------------------------------ utility-drop admission solve
 
 OptFlow RandomOptFlow(Rng& rng) {
   OptFlow flow;
@@ -304,56 +304,86 @@ OptFlow RandomOptFlow(Rng& rng) {
   return flow;
 }
 
-TEST(IncrementalSweep, WarmEqualsColdAcrossRandomDeltas) {
+TEST(Admission, UtilityDropMatchesSweepAcrossRandomDeltas) {
+  // Random arrivals, departures and estimate refreshes against a
+  // kUtilityDrop controller. Every verdict must be bit-equal to SolveSweep
+  // over the admitted set in ascending FlowId order with the candidate
+  // appended last, pinned at its floor rung.
+  AdmissionConfig config;
+  config.policy = AdmissionPolicy::kUtilityDrop;
+  config.objective_floor = 40.0;
+  config.alpha = 2.0;
+  AdmissionController controller(config);
   Rng rng(123);
-  IncrementalSolver solver;
-  std::map<FlowId, OptFlow> flows;
+  std::map<FlowId, OptFlow> admitted;
   FlowId next_id = 1;
+  const int n_data_flows = 2;
   const double rb_rate = 60'000.0;
-
-  for (int i = 0; i < 30; ++i) {
-    flows.emplace(next_id, RandomOptFlow(rng));
-    solver.Upsert(next_id, flows.at(next_id));
-    ++next_id;
+  int admits = 0;
+  int rejects = 0;
+  int infeasible = 0;
+  // A base population, so early arrivals can clear the floor.
+  for (; next_id <= 8; ++next_id) {
+    admitted.emplace(next_id, RandomOptFlow(rng));
+    controller.OnAdmitted(next_id, admitted.at(next_id));
   }
 
-  for (int round = 0; round < 60; ++round) {
-    // Random one-flow delta: arrival, departure, or estimate refresh.
+  for (int round = 0; round < 300; ++round) {
     const double move = rng.Uniform();
-    if (move < 0.4 || flows.empty()) {
-      flows.emplace(next_id, RandomOptFlow(rng));
-      solver.Upsert(next_id, flows.at(next_id));
-      ++next_id;
-    } else if (move < 0.7) {
-      auto victim = flows.begin();
-      std::advance(victim,
-                   rng.UniformInt(0, static_cast<int>(flows.size()) - 1));
-      solver.Remove(victim->first);
-      flows.erase(victim);
-    } else {
-      auto target = flows.begin();
-      std::advance(target,
-                   rng.UniformInt(0, static_cast<int>(flows.size()) - 1));
-      target->second.bits_per_rb = rng.Uniform(50.0, 600.0);
-      solver.Upsert(target->first, target->second);
-    }
+    if (move < 0.5 || admitted.empty()) {
+      AdmissionRequest request;
+      request.flow = next_id++;
+      request.candidate = RandomOptFlow(rng);
+      request.candidate.min_level =
+          rng.UniformInt(0, request.candidate.max_level);
+      request.n_data_flows = n_data_flows;
+      request.rb_rate = rb_rate;
 
-    std::vector<FlowId> order;
-    OptProblem problem;
-    problem.n_data_flows = 2;
-    problem.rb_rate = rb_rate;
-    for (const auto& [id, flow] : flows) {
-      order.push_back(id);
-      problem.flows.push_back(flow);
+      OptProblem reference;
+      reference.n_data_flows = n_data_flows;
+      reference.alpha = config.alpha;
+      reference.rb_rate = rb_rate;
+      reference.max_video_fraction = config.max_video_fraction;
+      for (const auto& [id, flow] : admitted) {
+        reference.flows.push_back(flow);
+      }
+      reference.flows.push_back(request.candidate);
+      reference.flows.back().max_level = request.candidate.min_level;
+      const OptResult solved = SolveSweep(reference);
+
+      const AdmissionDecision decision = controller.Decide(request);
+      ASSERT_EQ(decision.value, solved.objective) << "round " << round;
+      ASSERT_EQ(decision.admit,
+                solved.feasible && solved.objective >= config.objective_floor)
+          << "round " << round;
+      if (decision.admit) {
+        ++admits;
+        controller.OnAdmitted(request.flow, request.candidate);
+        admitted.emplace(request.flow, request.candidate);
+      } else {
+        ++rejects;
+        if (!solved.feasible) ++infeasible;
+      }
+    } else if (move < 0.75) {
+      auto victim = admitted.begin();
+      std::advance(victim,
+                   rng.UniformInt(0, static_cast<int>(admitted.size()) - 1));
+      controller.OnDeparted(victim->first);
+      admitted.erase(victim);
+    } else {
+      auto target = admitted.begin();
+      std::advance(target,
+                   rng.UniformInt(0, static_cast<int>(admitted.size()) - 1));
+      target->second.bits_per_rb = rng.Uniform(50.0, 600.0);
+      controller.OnEstimate(target->first, target->second.bits_per_rb);
     }
-    const OptResult warm = solver.Solve(order, 2, rb_rate);
-    const OptResult cold = SolveSweep(problem);
-    ASSERT_EQ(warm.levels, cold.levels) << "round " << round;
-    ASSERT_EQ(warm.objective, cold.objective) << "round " << round;
-    ASSERT_EQ(warm.video_fraction, cold.video_fraction)
-        << "round " << round;
-    ASSERT_EQ(warm.feasible, cold.feasible) << "round " << round;
+    ASSERT_EQ(controller.admitted_flows(), admitted.size());
   }
+  // The driver exercised every verdict: admitted, rejected on the
+  // objective floor, and rejected as infeasible.
+  EXPECT_GT(admits, 10);
+  EXPECT_GT(rejects - infeasible, 10);
+  EXPECT_GT(infeasible, 10);
 }
 
 // ------------------------------------------------------- churn scenarios
@@ -420,8 +450,8 @@ TEST(ChurnScenario, ClientSideSchemeChurnsWithoutAdmission) {
   EXPECT_EQ(result.video.size(), 2u);
 }
 
-TEST(ChurnScenario, WarmSolverMatchesGreedyRungsWithoutChurn) {
-  // The solver swap (greedy -> incremental sweep) must not change what a
+TEST(ChurnScenario, SweepSolverMatchesGreedyRungsWithoutChurn) {
+  // The solver swap (greedy -> batched sweep) must not change what a
   // churn-free run decides: with zero arrivals the flow set never
   // changes, and both solvers pick envelope-optimal rungs for the static
   // population.

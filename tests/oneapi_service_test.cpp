@@ -32,6 +32,7 @@
 #include "net/pcef.h"
 #include "net/pcrf.h"
 #include "netio/http_client.h"
+#include "netio/tcp.h"
 #include "obs/bai_trace.h"
 #include "sim/simulator.h"
 #include "svc/frame.h"
@@ -756,6 +757,8 @@ TEST(LoadGen, ChurnedRunAgainstLiveServiceCompletes) {
 
   EXPECT_TRUE(result.completed);
   EXPECT_EQ(result.attempted, options.sessions);
+  EXPECT_EQ(result.attempted, result.admitted + result.blocked +
+                                  result.connect_failures + result.abandoned);
   EXPECT_EQ(result.admitted + result.blocked, options.sessions);
   EXPECT_EQ(result.blocked, 0u);  // admit-all default
   EXPECT_EQ(result.connect_failures, 0u);
@@ -775,6 +778,47 @@ TEST(LoadGen, ChurnedRunAgainstLiveServiceCompletes) {
   }
   service.Stop();
   EXPECT_GT(service.bais(), 0u);
+}
+
+TEST(LoadGen, SilentServerSessionsAreAbandoned) {
+  // A server that accepts every connection but never answers: no session
+  // gets a verdict, so each one departs unwelcomed and must still land in
+  // exactly one ledger bucket.
+  TcpListener listener;
+  ASSERT_TRUE(listener.Listen("127.0.0.1", 0));
+  std::vector<int> accepted;
+  std::jthread acceptor([&](std::stop_token stop) {
+    while (!stop.stop_requested()) {
+      pollfd pfd{listener.fd(), POLLIN, 0};
+      if (::poll(&pfd, 1, 10) <= 0) continue;
+      for (int fd = listener.Accept(); fd >= 0; fd = listener.Accept()) {
+        accepted.push_back(fd);
+      }
+    }
+  });
+
+  LoadGenOptions options;
+  options.port = listener.bound_port();
+  options.sessions = 10;
+  options.arrival_rate_per_s = 40.0;
+  options.mean_hold_s = 0.3;
+  options.seed = 3;
+  options.time_scale = 2.0;
+  options.max_wall_s = 30.0;
+  const LoadGenResult result = LoadGenerator(options).Run();
+  acceptor.request_stop();
+  acceptor.join();
+  for (const int fd : accepted) ::close(fd);
+
+  EXPECT_TRUE(result.completed);
+  EXPECT_EQ(result.attempted, options.sessions);
+  EXPECT_EQ(result.attempted, result.admitted + result.blocked +
+                                  result.connect_failures + result.abandoned);
+  EXPECT_EQ(result.admitted, 0u);
+  EXPECT_EQ(result.blocked, 0u);
+  EXPECT_EQ(result.connect_failures, 0u);
+  EXPECT_EQ(result.abandoned, options.sessions);
+  EXPECT_EQ(result.departed, 0u);  // nobody was welcomed
 }
 
 TEST(LoadGen, TracedRunProducesMergeableClientSpans) {

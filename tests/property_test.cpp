@@ -210,7 +210,8 @@ TEST_P(DecideBaiProperty, CapacityAndStabilityInvariants) {
 INSTANTIATE_TEST_SUITE_P(
     RandomizedLadders, DecideBaiProperty,
     ::testing::Combine(::testing::Values(SolverMode::kGreedyDiscrete,
-                                         SolverMode::kContinuousRelaxation),
+                                         SolverMode::kContinuousRelaxation,
+                                         SolverMode::kBatchedSweep),
                        ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u)));
 
 }  // namespace

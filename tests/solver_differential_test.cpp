@@ -1,6 +1,6 @@
-// Differential test harness for the three concave-envelope sweep solvers:
+// Differential test harness for the two concave-envelope sweep solvers:
 //
-//     BatchSolver (SoA)  ==  SolveSweep (cold)  ==  IncrementalSolver
+//     BatchSolver (SoA, production)  ==  SolveSweep (scalar reference)
 //
 // A seeded random OptProblem generator covers the shapes that historically
 // break solver rewrites — empty problems, single flows, duplicated flows
@@ -144,29 +144,6 @@ OptProblem RandomProblem(Rng& rng, int n_flows) {
   return p;
 }
 
-/// IncrementalSolver replay of a cold problem: flows keyed 1..n as
-/// SolveSweep keys them, but Upserted in a shuffled order — the warm
-/// solver's contract is that insertion history never shows in the result.
-OptResult IncrementalReplay(const OptProblem& p, Rng& rng) {
-  IncrementalSolver solver;
-  std::vector<FlowId> order;
-  order.reserve(p.flows.size());
-  for (std::size_t u = 0; u < p.flows.size(); ++u) {
-    order.push_back(static_cast<FlowId>(u + 1));
-  }
-  std::vector<FlowId> insertion = order;
-  for (std::size_t i = insertion.size(); i > 1; --i) {
-    std::swap(insertion[i - 1],
-              insertion[static_cast<std::size_t>(
-                  rng.UniformInt(0, static_cast<std::int64_t>(i) - 1))]);
-  }
-  for (const FlowId id : insertion) {
-    solver.Upsert(id, p.flows[static_cast<std::size_t>(id - 1)]);
-  }
-  return solver.Solve(order, p.n_data_flows, p.rb_rate, p.alpha,
-                      p.max_video_fraction);
-}
-
 int SizeForCase(int index) {
   if (index % 50 == 49) return 500;
   constexpr int kSizes[] = {0, 1, 2, 3, 5, 8, 16, 64};
@@ -174,8 +151,8 @@ int SizeForCase(int index) {
 }
 
 // --- The differential corpus: >= 1000 seeded problems across the shape
-// matrix, every one byte-compared across all three solvers.
-TEST(SolverDifferential, CorpusIsBitExactAcrossAllThreeSolvers) {
+// matrix, every one byte-compared across both solvers.
+TEST(SolverDifferential, CorpusIsBitExactAcrossBothSolvers) {
   BatchSolver batch;  // one instance: scratch reuse is inside the contract
   int feasible_count = 0;
   int infeasible_count = 0;
@@ -187,8 +164,6 @@ TEST(SolverDifferential, CorpusIsBitExactAcrossAllThreeSolvers) {
     const OptResult cold = SolveSweep(p);
     const std::string cold_bytes = CanonicalBytes(cold);
     EXPECT_EQ(CanonicalBytes(batch.Solve(p)), cold_bytes) << "case " << c;
-    EXPECT_EQ(CanonicalBytes(IncrementalReplay(p, rng)), cold_bytes)
-        << "case " << c;
     if (cold.feasible) {
       ++feasible_count;
     } else {
@@ -209,44 +184,6 @@ TEST(SolverDifferential, FiveThousandFlowProblemIsBitExact) {
   BatchSolver batch;
   const std::string cold_bytes = CanonicalBytes(SolveSweep(p));
   EXPECT_EQ(CanonicalBytes(batch.Solve(p)), cold_bytes);
-  EXPECT_EQ(CanonicalBytes(IncrementalReplay(p, rng)), cold_bytes);
-}
-
-// Warm-path differential: after an Upsert delta and its exact revert, the
-// warm solver must land back on the cold bytes (the churn-path contract
-// the batch solver is benchmarked against).
-TEST(SolverDifferential, WarmPerturbAndRevertMatchesBatch) {
-  BatchSolver batch;
-  for (int c = 0; c < 100; ++c) {
-    Rng rng(0x3A23 + static_cast<std::uint64_t>(c));
-    const int n_flows = 1 + static_cast<int>(rng.UniformInt(0, 63));
-    const OptProblem p = RandomProblem(rng, n_flows);
-    const std::string cold_bytes = CanonicalBytes(batch.Solve(p));
-
-    IncrementalSolver solver;
-    std::vector<FlowId> order;
-    for (std::size_t u = 0; u < p.flows.size(); ++u) {
-      const FlowId id = static_cast<FlowId>(u + 1);
-      solver.Upsert(id, p.flows[u]);
-      order.push_back(id);
-    }
-    EXPECT_EQ(CanonicalBytes(solver.Solve(order, p.n_data_flows, p.rb_rate,
-                                          p.alpha, p.max_video_fraction)),
-              cold_bytes)
-        << "case " << c;
-    const std::size_t victim =
-        static_cast<std::size_t>(rng.UniformInt(0, n_flows - 1));
-    OptFlow perturbed = p.flows[victim];
-    perturbed.bits_per_rb = rng.Uniform(16.0, 712.0);
-    solver.Upsert(order[victim], perturbed);
-    solver.Solve(order, p.n_data_flows, p.rb_rate, p.alpha,
-                 p.max_video_fraction);
-    solver.Upsert(order[victim], p.flows[victim]);  // exact revert
-    EXPECT_EQ(CanonicalBytes(solver.Solve(order, p.n_data_flows, p.rb_rate,
-                                          p.alpha, p.max_video_fraction)),
-              cold_bytes)
-        << "case " << c;
-  }
 }
 
 // --- SolveMany: the batched multi-cell API is defined as exactly N
@@ -341,8 +278,8 @@ TEST(SolverInvariants, ObjectiveMonotoneInCapacity) {
 }
 
 // --- ValidateProblem edge-case audit: empty, single-flow and
-// duplicate-rho inputs must produce defined, identical results in all
-// three sweep solvers (optimizer_test.cpp pins only the cold sweep's
+// duplicate-rho inputs must produce defined, identical results in both
+// sweep solvers (optimizer_test.cpp pins only the cold sweep's
 // cousins); these are the regression pins for the shapes that disagree
 // first when a rewrite cuts corners.
 OptProblem TestbedLikeProblem(int n_flows, int n_data, double rb_rate) {
@@ -364,9 +301,7 @@ OptProblem TestbedLikeProblem(int n_flows, int n_data, double rb_rate) {
 TEST(SolverEdgeCases, EmptyProblemIsDefinedInAllSolvers) {
   const OptProblem p = TestbedLikeProblem(0, 3, 50'000.0);
   BatchSolver batch;
-  Rng rng(1);
-  for (const OptResult& r :
-       {SolveSweep(p), batch.Solve(p), IncrementalReplay(p, rng)}) {
+  for (const OptResult& r : {SolveSweep(p), batch.Solve(p)}) {
     EXPECT_TRUE(r.feasible);
     EXPECT_TRUE(r.levels.empty());
     EXPECT_TRUE(r.rates_bps.empty());
@@ -383,10 +318,8 @@ TEST(SolverEdgeCases, EmptyProblemIsDefinedInAllSolvers) {
 TEST(SolverEdgeCases, SingleFlowAmpleCapacityTakesTopRung) {
   const OptProblem p = TestbedLikeProblem(1, 0, 1e9);
   BatchSolver batch;
-  Rng rng(2);
   const std::string bytes = CanonicalBytes(SolveSweep(p));
   EXPECT_EQ(CanonicalBytes(batch.Solve(p)), bytes);
-  EXPECT_EQ(CanonicalBytes(IncrementalReplay(p, rng)), bytes);
   const OptResult r = batch.Solve(p);
   ASSERT_EQ(r.levels.size(), 1u);
   EXPECT_EQ(r.levels[0], 7);
@@ -397,32 +330,28 @@ TEST(SolverEdgeCases, DuplicateRhoTieBreaksByFlowIndex) {
   // Two identical flows, capacity for exactly one first upgrade
   // (200 -> 310 kbps costs (310-200)*1000/104 ≈ 1058 RB/s): the strict
   // step order (rho desc, flow asc, to_level asc) must hand it to flow 0
-  // in every solver, every time.
+  // in both solvers, every time.
   OptProblem p = TestbedLikeProblem(2, 0, 0.0);
   const double floor_cost = 2.0 * 200e3 / 104.0;
   const double upgrade_cost = (310e3 - 200e3) / 104.0;
   p.rb_rate = (floor_cost + upgrade_cost * 1.5) / p.max_video_fraction;
   BatchSolver batch;
-  Rng rng(3);
   const OptResult cold = SolveSweep(p);
   ASSERT_EQ(cold.levels.size(), 2u);
   EXPECT_EQ(cold.levels[0], 1);
   EXPECT_EQ(cold.levels[1], 0);
   const std::string bytes = CanonicalBytes(cold);
   EXPECT_EQ(CanonicalBytes(batch.Solve(p)), bytes);
-  EXPECT_EQ(CanonicalBytes(IncrementalReplay(p, rng)), bytes);
 }
 
 TEST(SolverEdgeCases, ZeroCapacityCellIsInfeasibleFloorEverywhere) {
   const OptProblem p = TestbedLikeProblem(4, 2, 1e-3);
   BatchSolver batch;
-  Rng rng(4);
   const OptResult cold = SolveSweep(p);
   EXPECT_FALSE(cold.feasible);
   for (int level : cold.levels) EXPECT_EQ(level, 0);
   const std::string bytes = CanonicalBytes(cold);
   EXPECT_EQ(CanonicalBytes(batch.Solve(p)), bytes);
-  EXPECT_EQ(CanonicalBytes(IncrementalReplay(p, rng)), bytes);
 }
 
 TEST(SolverEdgeCases, BatchSolverValidatesLikeSolveSweep) {

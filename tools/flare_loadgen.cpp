@@ -127,11 +127,13 @@ int main(int argc, char** argv) {
 
   std::printf(
       "flare_loadgen: %llu offered, %llu admitted, %llu blocked "
-      "(rate %.3f), %llu departed, %llu assignments, %llu connect "
-      "failures, %llu protocol errors, %.1f s wall (%.1f sessions/s)\n",
+      "(rate %.3f), %llu abandoned, %llu departed, %llu assignments, "
+      "%llu connect failures, %llu protocol errors, %.1f s wall "
+      "(%.1f sessions/s)\n",
       static_cast<unsigned long long>(result.attempted),
       static_cast<unsigned long long>(result.admitted),
       static_cast<unsigned long long>(result.blocked), result.blocking_rate,
+      static_cast<unsigned long long>(result.abandoned),
       static_cast<unsigned long long>(result.departed),
       static_cast<unsigned long long>(result.assignments),
       static_cast<unsigned long long>(result.connect_failures),
