@@ -3,9 +3,10 @@
 // Under session churn the interesting question stops being "which rung
 // does each admitted flow get" and becomes "should this arrival be
 // admitted at all" — the joint scheduling/admission setting of
-// Bethanabhotla et al. The controller is consulted by OneApiServer when a
-// delayed ConnectVideoClient lands, before any controller/PCRF state is
-// created. Three policies:
+// Bethanabhotla et al. The controller is driven by net/BaiCore, the BAI
+// core behind both OneApiServer and OneApiService: BaiCore consults it on
+// every arrival before any session state is created, and is the only
+// caller in src/ of OnAdmitted / OnDeparted / OnEstimate. Three policies:
 //
 //  * kAdmitAll         — baseline; every arrival is admitted.
 //  * kCapacityThreshold— reject when the admitted floor-rung RB fraction
@@ -93,7 +94,7 @@ class AdmissionController {
   /// caller confirms an admission via OnAdmitted().
   AdmissionDecision Decide(const AdmissionRequest& request);
 
-  /// Admitted-set bookkeeping, driven by the server: registration landed /
+  /// Admitted-set bookkeeping, driven by BaiCore: registration landed /
   /// session torn down / per-BAI bits-per-RB estimate refresh.
   void OnAdmitted(FlowId id, const OptFlow& flow);
   void OnDeparted(FlowId id);

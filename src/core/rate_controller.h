@@ -117,11 +117,6 @@ class FlareRateController {
   /// Current rung of a flow (-1 before its first BAI).
   int CurrentLevel(FlowId id) const;
 
-  const FlareParams& params() const { return params_; }
-  void set_alpha(double alpha) { params_.alpha = alpha; }
-  void set_delta(int delta) { params_.delta = delta; }
-  void set_solver(SolverMode mode) { params_.solver = mode; }
-
   /// Attach a span tracer (null detaches): each DecideBai records a
   /// "solve" span plus the solver's internal phase spans on the control
   /// lane. Timestamps come from the tracer's clock.

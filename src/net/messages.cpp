@@ -1,5 +1,6 @@
 #include "net/messages.h"
 
+#include <cmath>
 #include <cstdlib>
 #include <map>
 #include <sstream>
@@ -38,27 +39,51 @@ std::optional<Fields> Split(const std::string& wire) {
   return fields;
 }
 
-std::optional<double> Number(const Fields& fields, const std::string& key) {
-  const auto it = fields.find(key);
-  if (it == fields.end()) return std::nullopt;
+// Exclusive upper bounds for whole-number fields, so a decoded value
+// always converts to its field type without overflow.
+constexpr double kIntLimit = 2147483648.0;        // 2^31
+constexpr double kUint64Limit = 18446744073709551616.0;  // 2^64
+constexpr double kFlowLimit = static_cast<double>(kInvalidFlow);
+
+std::optional<double> ParseFinite(const std::string& text) {
   char* end = nullptr;
-  const double value = std::strtod(it->second.c_str(), &end);
-  if (end == it->second.c_str() || *end != '\0') return std::nullopt;
+  const double value = std::strtod(text.c_str(), &end);
+  if (end == text.c_str() || *end != '\0' || !std::isfinite(value)) {
+    return std::nullopt;
+  }
   return value;
 }
 
-std::optional<std::vector<double>> NumberList(const Fields& fields,
-                                              const std::string& key) {
+std::optional<double> Number(const Fields& fields, const std::string& key) {
   const auto it = fields.find(key);
+  if (it == fields.end()) return std::nullopt;
+  return ParseFinite(it->second);
+}
+
+/// A whole number in [0, limit).
+std::optional<double> WholeNumber(const Fields& fields, const std::string& key,
+                                  double limit) {
+  const auto value = Number(fields, key);
+  if (!value || *value < 0.0 || *value >= limit ||
+      std::trunc(*value) != *value) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+/// A bitrate ladder: finite, positive and strictly ascending.
+std::optional<std::vector<double>> Ladder(const Fields& fields) {
+  const auto it = fields.find("ladder");
   if (it == fields.end()) return std::nullopt;
   std::vector<double> values;
   std::istringstream in(it->second);
   std::string token;
   while (std::getline(in, token, ',')) {
-    char* end = nullptr;
-    const double value = std::strtod(token.c_str(), &end);
-    if (end == token.c_str() || *end != '\0') return std::nullopt;
-    values.push_back(value);
+    const auto value = ParseFinite(token);
+    if (!value || *value <= (values.empty() ? 0.0 : values.back())) {
+      return std::nullopt;
+    }
+    values.push_back(*value);
   }
   if (values.empty()) return std::nullopt;
   return values;
@@ -91,19 +116,22 @@ std::optional<ClientInfo> DecodeClientInfo(const std::string& wire) {
       fields->at("type") != "client_info") {
     return std::nullopt;
   }
-  const auto flow = Number(*fields, "flow");
-  const auto ladder = NumberList(*fields, "ladder");
+  const auto flow = WholeNumber(*fields, "flow", kFlowLimit);
+  const auto ladder = Ladder(*fields);
   if (!flow || !ladder) return std::nullopt;
 
   ClientInfo info;
   info.flow = static_cast<FlowId>(*flow);
   info.ladder_bps = *ladder;
-  if (const auto max_level = Number(*fields, "max_level")) {
+  if (fields->count("max_level") > 0) {
+    const auto max_level = WholeNumber(*fields, "max_level", kIntLimit);
+    if (!max_level) return std::nullopt;
     info.max_level = static_cast<int>(*max_level);
   }
-  const auto beta = Number(*fields, "beta");
-  const auto theta = Number(*fields, "theta");
-  if (beta && theta) {
+  if (fields->count("beta") > 0 || fields->count("theta") > 0) {
+    const auto beta = Number(*fields, "beta");
+    const auto theta = Number(*fields, "theta");
+    if (!beta || !theta || *beta <= 0.0 || *theta <= 0.0) return std::nullopt;
     VideoUtilityParams utility;
     utility.beta = *beta;
     utility.theta_bps = *theta;
@@ -131,8 +159,8 @@ std::optional<RateAssignmentMsg> DecodeRateAssignment(
       fields->at("type") != "rate_assignment") {
     return std::nullopt;
   }
-  const auto flow = Number(*fields, "flow");
-  const auto level = Number(*fields, "level");
+  const auto flow = WholeNumber(*fields, "flow", kFlowLimit);
+  const auto level = WholeNumber(*fields, "level", kIntLimit);
   const auto rate = Number(*fields, "rate");
   const auto gbr = Number(*fields, "gbr");
   if (!flow || !level || !rate || !gbr) return std::nullopt;
@@ -163,9 +191,9 @@ std::optional<FlowStatsReport> DecodeStatsReport(const std::string& wire) {
       fields->count("class") == 0) {
     return std::nullopt;
   }
-  const auto flow = Number(*fields, "flow");
-  const auto tx_bytes = Number(*fields, "tx_bytes");
-  const auto rbs = Number(*fields, "rbs");
+  const auto flow = WholeNumber(*fields, "flow", kFlowLimit);
+  const auto tx_bytes = WholeNumber(*fields, "tx_bytes", kUint64Limit);
+  const auto rbs = WholeNumber(*fields, "rbs", kUint64Limit);
   const auto tput = Number(*fields, "tput");
   const auto rb_util = Number(*fields, "rb_util");
   if (!flow || !tx_bytes || !rbs || !tput || !rb_util) return std::nullopt;

@@ -7,8 +7,13 @@
 //   * FlowStatsReport   — eNodeB Communication Module -> server
 // This module provides a compact key=value line codec for them (the
 // paper leaves the concrete protocol to future standardization; any
-// self-describing encoding exercises the same path). Encoding is strict:
-// Decode* returns nullopt on malformed input rather than guessing.
+// self-describing encoding exercises the same path). Decoding is strict:
+// Decode* returns nullopt on malformed input rather than guessing. Every
+// number must be finite; flow ids, rung indices, byte and RB counts must
+// be whole numbers that fit their field (and a flow id below
+// kInvalidFlow); a ladder must be positive and strictly ascending, and
+// disclosed utility parameters (beta, theta) positive. Whatever decodes
+// is therefore safe to hand to the optimizer.
 #pragma once
 
 #include <optional>

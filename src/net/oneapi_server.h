@@ -1,13 +1,16 @@
-// OneAPI server — the network-side half of FLARE (Figure 1).
+// OneAPI server — the network-side half of FLARE (Figure 1), as a
+// simulator front-end over net/BaiCore.
 //
-// Once per BAI it: (1) reads each video flow's RB & Rate Trace window from
-// the eNodeB (the Communication Module path), computing the achieved
-// bits-per-RB e_u = 8*b_u/n_u; (2) asks the PCRF how many data flows share
-// the cell; (3) runs Algorithm 1 via the FlareRateController; and (4)
-// enforces the result twice — pushing the GBR through the PCEF to the
-// eNodeB scheduler, and pushing the chosen rung to each FLARE UE plugin so
-// the client requests exactly the assigned bitrate. Both pushes cross the
-// control plane with configurable latency.
+// BaiCore makes every per-BAI decision (session table, admission, EWMA,
+// skimming pin, Algorithm 1, GBR headroom). This class only connects it
+// to the simulated network: (1) client registrations cross the uplink
+// latency (generation-guarded against a racing disconnect) and are
+// recorded with the PCRF; (2) each BAI it samples every video flow's RB &
+// Rate Trace window from the eNodeB, e_u = 8*b_u/n_u (nominal TBS for a
+// flow idle all BAI), and asks the PCRF how many data flows share the
+// cell; (3) it enforces the result twice — pushing the GBR through the
+// PCEF to the eNodeB scheduler, and pushing the chosen rung to each FLARE
+// UE plugin across the downlink latency.
 #pragma once
 
 #include <cstdint>
@@ -18,6 +21,7 @@
 #include "churn/admission.h"
 #include "core/rate_controller.h"
 #include "lte/cell.h"
+#include "net/bai_core.h"
 #include "net/flare_plugin.h"
 #include "net/pcef.h"
 #include "net/pcrf.h"
@@ -86,12 +90,12 @@ class OneApiServer {
   /// Run one BAI synchronously (exposed for tests).
   void RunBai();
 
-  FlareRateController& controller() { return controller_; }
-  const FlareRateController& controller() const { return controller_; }
+  FlareRateController& controller() { return core_.controller(); }
+  const FlareRateController& controller() const { return core_.controller(); }
 
   /// Whether `id` has a *landed* registration (an in-flight
   /// ConnectVideoClient still inside the uplink latency does not count).
-  bool HasClient(FlowId id) const { return clients_.count(id) > 0; }
+  bool HasClient(FlowId id) const { return plugins_.count(id) > 0; }
 
   /// Connect attempts still inside the uplink-latency window. Bounded by
   /// the in-flight count — landed and disconnected flows leave no
@@ -105,7 +109,7 @@ class OneApiServer {
   /// controller/PCRF/client state) and emits an `admission_reject`
   /// instant. Each BAI refreshes the controller's per-flow estimates.
   void SetAdmissionController(AdmissionController* admission) {
-    admission_ = admission;
+    core_.SetAdmission(admission);
   }
 
   /// Invoked when a ConnectVideoClient resolves: (flow, admitted). Fires
@@ -145,24 +149,20 @@ class OneApiServer {
   void SetAnalytics(QoeAnalytics* qoe, FlightRecorder* flight);
 
  private:
-  /// Run the attached admission controller on a landed connect; true =
-  /// admit (controller bookkeeping updated), false = reject (instant +
-  /// counter emitted).
+  /// Offer a landed connect to the core; true = admitted (core
+  /// bookkeeping updated), false = rejected (instant + counter emitted).
   bool AdmitClient(const ClientInfo& info);
-
-  struct ClientEntry {
-    FlarePlugin* plugin = nullptr;
-    ClientInfo info;
-    double smoothed_bits_per_rb = 0.0;  // 0 = no observation yet
-  };
+  /// The channel's nominal bits-per-RB for `id` at its current MCS.
+  double NominalBitsPerRb(FlowId id) const;
 
   Simulator& sim_;
   Cell& cell_;
   Pcrf& pcrf_;
   Pcef& pcef_;
   OneApiConfig config_;
-  FlareRateController controller_;
-  std::map<FlowId, ClientEntry> clients_;
+  BaiCore core_;
+  /// Delivery path of every landed registration (same keys as core_).
+  std::map<FlowId, FlarePlugin*> plugins_;
   /// In-flight connects only: each ConnectVideoClient stores a globally
   /// unique generation here and its delayed callback registers only if
   /// the entry still matches; DisconnectVideoClient erases the entry
@@ -172,7 +172,6 @@ class OneApiServer {
   /// erase.
   std::map<FlowId, std::uint64_t> connect_generation_;
   std::uint64_t next_generation_ = 0;
-  AdmissionController* admission_ = nullptr;
   AdmissionCallback admission_callback_;
   std::vector<double> solve_times_ms_;
   std::vector<double> video_fractions_;

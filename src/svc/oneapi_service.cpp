@@ -4,8 +4,8 @@
 #include <sys/timerfd.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <chrono>
 #include <future>
 #include <map>
@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "net/bai_core.h"
 #include "net/messages.h"
 #include "netio/event_loop.h"
 #include "netio/tcp.h"
@@ -44,13 +45,11 @@ struct SessionConn {
   }
 };
 
-/// Per-admitted-flow state, mirroring OneApiServer::ClientEntry plus the
-/// latest stats sample waiting for the next BAI tick.
+/// Transport state of one admitted flow, kept under the same keys as the
+/// BaiCore session table: the latest stats sample waiting for the next
+/// BAI tick, the delivery connection and the pending trace echo.
 struct Session {
-  ClientInfo info;
-  double smoothed_bits_per_rb = 0.0;  // 0 = no observation yet
-  double pending_sample = 0.0;
-  bool has_pending_sample = false;
+  std::optional<double> pending_sample;
   int conn_fd = -1;
   /// Trace context of the latest traced stats report, waiting to be
   /// echoed on (and attributed to) the next assignment. Lives in the
@@ -87,10 +86,12 @@ OverloadInfo Overload(const char* reason, const char* policy = "",
 struct OneApiService::Impl {
   explicit Impl(OneApiServiceOptions opts)
       : options(std::move(opts)),
-        controller(options.params),
         admission(options.admission),
+        core(options.params, options.efficiency_smoothing,
+             options.gbr_headroom),
         epoch(std::chrono::steady_clock::now()) {
     admission.SetObservers(&registry);
+    core.SetAdmission(&admission);
     if (!options.trace_json.empty()) {
       tracer = std::make_unique<RequestTracer>(
           &registry, &metrics_mu, options.flight_recorder, options.trace);
@@ -106,9 +107,11 @@ struct OneApiService::Impl {
 
   // --- Loop-thread-only state -------------------------------------------
   std::map<int, std::unique_ptr<SessionConn>> conns;
-  std::map<FlowId, Session> sessions;  // ascending FlowId, like OneApiServer
-  FlareRateController controller;
+  std::map<FlowId, Session> sessions;  // same keys as core's table
+  std::uint64_t arrivals = 0;  // ClientInfos asking for a new session
+  std::uint64_t blocked = 0;   // ... of which were rejected
   AdmissionController admission;
+  BaiCore core;
   /// Null when tracing is off: the request path then never reads a clock
   /// or records a span, and assignments to untraced clients are
   /// byte-identical to the pre-tracing protocol.
@@ -130,6 +133,31 @@ struct OneApiService::Impl {
   /// thread; both sides take this (uncontended) mutex.
   mutable std::mutex metrics_mu;
   MetricsRegistry registry;
+  /// Instruments resolved once at construction; writes still take
+  /// metrics_mu like every other registry write.
+  CounterHandle assignments_metric =
+      MakeCounterHandle(&registry, "svc.oneapi.assignments");
+  CounterHandle assignments_dropped_metric =
+      MakeCounterHandle(&registry, "svc.oneapi.assignments_dropped");
+  CounterHandle bais_metric = MakeCounterHandle(&registry, "svc.oneapi.bais");
+  CounterHandle malformed_rejects_metric =
+      MakeCounterHandle(&registry, "svc.oneapi.malformed_rejects");
+  /// Session ledger: arrivals == admitted + overload_rejects +
+  /// admission_rejects, and admitted == departed + the sessions gauge.
+  CounterHandle arrivals_metric =
+      MakeCounterHandle(&registry, "svc.oneapi.arrivals");
+  CounterHandle admitted_metric =
+      MakeCounterHandle(&registry, "svc.oneapi.admitted");
+  CounterHandle departed_metric =
+      MakeCounterHandle(&registry, "svc.oneapi.departed");
+  HistogramHandle solve_us_metric =
+      MakeHistogramHandle(&registry, "svc.oneapi.solve_us", kMicrosBounds);
+  HistogramHandle tick_us_metric =
+      MakeHistogramHandle(&registry, "svc.oneapi.tick_us", kMicrosBounds);
+  GaugeHandle video_fraction_metric =
+      MakeGaugeHandle(&registry, "svc.oneapi.video_fraction");
+  GaugeHandle sessions_metric =
+      MakeGaugeHandle(&registry, "svc.oneapi.sessions");
 
   // --- Thread-safe progress counters ------------------------------------
   std::atomic<std::uint64_t> connections_accepted{0};
@@ -141,8 +169,6 @@ struct OneApiService::Impl {
   std::atomic<std::uint64_t> admission_rejects{0};
   std::atomic<std::uint64_t> overload_rejects{0};
   std::atomic<std::uint64_t> session_count{0};
-  std::atomic<std::uint64_t> arrivals{0};
-  std::atomic<std::uint64_t> blocked{0};
 
   void OnAccept();
   void OnConnIo(int fd, std::uint32_t events);
@@ -158,7 +184,9 @@ struct OneApiService::Impl {
   void TeardownConn(int fd);
   void Tick();
   void PublishTelemetry();
-  void UpdateBlockingRate();
+  /// Book one arrival's verdict; `reject_counter` names the registry
+  /// counter of a reject, null for an admission.
+  void CountVerdict(const char* reject_counter);
   void ShutdownOnLoop();
 };
 
@@ -267,7 +295,7 @@ void OneApiService::Impl::HandleClientInfo(SessionConn& sc,
                                            const Frame& frame,
                                            const FrameTiming& timing) {
   const std::optional<ClientInfo> info = DecodeClientInfo(frame.payload);
-  if (!info || info->ladder_bps.empty()) {
+  if (!info) {
     SendOverloadAndClose(sc, Overload("malformed"));
     return;
   }
@@ -286,76 +314,43 @@ void OneApiService::Impl::HandleClientInfo(SessionConn& sc,
   };
 
   if (sc.flow != kInvalidFlow) {
-    // Mid-session refresh (new cost cap, clickstream state, ...): mirrors
-    // OneApiServer::UpdateClientInfo — constraints update, ladder does not.
+    // Mid-session refresh (new cost cap, clickstream state, ...): the
+    // constraints update, the ladder does not.
     if (info->flow != sc.flow) {
       SendOverloadAndClose(sc, Overload("malformed"));
       return;
     }
-    const auto session = sessions.find(sc.flow);
-    if (session != sessions.end()) {
-      session->second.info.max_level = info->max_level;
-      session->second.info.utility = info->utility;
-      session->second.info.skimming = info->skimming;
-    }
+    core.Refresh(sc.flow, *info);
     return;
   }
 
-  arrivals.fetch_add(1, std::memory_order_relaxed);
-  if (sessions.count(info->flow) > 0) {
-    blocked.fetch_add(1, std::memory_order_relaxed);
+  // Hard caps ahead of the admission policy.
+  const bool duplicate = sessions.count(info->flow) > 0;
+  if (duplicate ||
+      (options.max_sessions > 0 && sessions.size() >= options.max_sessions)) {
     overload_rejects.fetch_add(1, std::memory_order_relaxed);
-    {
-      std::lock_guard<std::mutex> lock(metrics_mu);
-      registry.GetCounter("svc.oneapi.overload_rejects").Add();
-    }
-    UpdateBlockingRate();
-    record_admit(false);
-    SendOverloadAndClose(sc, Overload("duplicate_flow"));
-    return;
-  }
-  if (options.max_sessions > 0 && sessions.size() >= options.max_sessions) {
-    blocked.fetch_add(1, std::memory_order_relaxed);
-    overload_rejects.fetch_add(1, std::memory_order_relaxed);
-    {
-      std::lock_guard<std::mutex> lock(metrics_mu);
-      registry.GetCounter("svc.oneapi.overload_rejects").Add();
-    }
-    UpdateBlockingRate();
+    CountVerdict("svc.oneapi.overload_rejects");
     record_admit(false);
     SendOverloadAndClose(
-        sc, Overload("session_limit", "",
-                     static_cast<double>(options.max_sessions)));
+        sc, duplicate ? Overload("duplicate_flow")
+                      : Overload("session_limit", "",
+                                 static_cast<double>(options.max_sessions)));
     return;
   }
 
-  // Admission: candidate pinned at the lowest rung with the configured
-  // connect-time efficiency estimate, exactly like OneApiServer.
-  AdmissionRequest request;
-  request.flow = info->flow;
-  OptFlow candidate;
-  candidate.ladder_bps = info->ladder_bps;
-  candidate.utility = info->utility.value_or(options.params.utility);
-  candidate.bits_per_rb = options.default_bits_per_rb;
-  candidate.min_level = 0;
-  candidate.max_level = 0;
-  request.candidate = candidate;
-  request.n_data_flows = options.n_data_flows;
-  request.rb_rate = static_cast<double>(options.num_rbs) * 1000.0;
-
+  // Admission prices the candidate at the configured connect-time
+  // efficiency: the daemon has no channel to read. The lock covers the
+  // whole call because the admission controller bumps registry counters.
   AdmissionDecision decision;
   {
     std::lock_guard<std::mutex> lock(metrics_mu);
-    decision = admission.Decide(request);
+    decision = core.Admit(*info, options.default_bits_per_rb,
+                          options.n_data_flows,
+                          static_cast<double>(options.num_rbs) * 1000.0);
   }
   if (!decision.admit) {
-    blocked.fetch_add(1, std::memory_order_relaxed);
     admission_rejects.fetch_add(1, std::memory_order_relaxed);
-    {
-      std::lock_guard<std::mutex> lock(metrics_mu);
-      registry.GetCounter("svc.oneapi.admission_rejects").Add();
-    }
-    UpdateBlockingRate();
+    CountVerdict("svc.oneapi.admission_rejects");
     record_admit(false);
     SendOverloadAndClose(
         sc, Overload("admission",
@@ -364,21 +359,12 @@ void OneApiService::Impl::HandleClientInfo(SessionConn& sc,
     return;
   }
 
-  controller.AddFlow(info->flow, info->ladder_bps);
-  candidate.max_level = static_cast<int>(candidate.ladder_bps.size()) - 1;
-  admission.OnAdmitted(info->flow, candidate);
   Session session;
-  session.info = *info;
   session.conn_fd = sc.conn.fd();
   sessions[info->flow] = std::move(session);
   sc.flow = info->flow;
   session_count.store(sessions.size(), std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(metrics_mu);
-    registry.GetGauge("svc.oneapi.sessions")
-        .Set(static_cast<double>(sessions.size()));
-  }
-  UpdateBlockingRate();
+  CountVerdict(nullptr);
   record_admit(true);
   sc.QueueFrame(EncodeFrame(FrameType::kWelcome, EncodeWelcome(info->flow)));
   sc.conn.Flush();
@@ -404,12 +390,11 @@ void OneApiService::Impl::HandleStats(SessionConn& sc, const Frame& frame,
   if (it == sessions.end()) return;
   if (report->rbs > 0) {
     // e_u = 8 * b_u / n_u, the RB & Rate Trace efficiency sample. A
-    // zero-RB report carries no signal (idle BAI) and leaves the EWMA
-    // untouched, mirroring the in-simulator nominal-capacity fallback
-    // (the smoothed value already is the standing estimate).
+    // zero-RB report carries no signal (idle BAI): the tick then re-feeds
+    // the standing smoothed estimate, this adapter's counterpart of the
+    // simulator's nominal-capacity sample.
     it->second.pending_sample = static_cast<double>(report->tx_bytes) * 8.0 /
                                 static_cast<double>(report->rbs);
-    it->second.has_pending_sample = true;
   }
   if (frame.trace) {
     // Latest-wins, like the sample itself: a second traced report before
@@ -437,6 +422,10 @@ void OneApiService::Impl::HandleStats(SessionConn& sc, const Frame& frame,
 
 void OneApiService::Impl::SendOverloadAndClose(SessionConn& sc,
                                                const OverloadInfo& info) {
+  if (info.reason == "malformed") {
+    std::lock_guard<std::mutex> lock(metrics_mu);
+    malformed_rejects_metric.Add();
+  }
   sc.QueueFrame(EncodeFrame(FrameType::kOverload, EncodeOverload(info)));
   sc.conn.CloseAfterFlush();
   sc.conn.Flush();
@@ -470,26 +459,31 @@ void OneApiService::Impl::TeardownConn(int fd) {
     const auto session = sessions.find(flow);
     if (session != sessions.end() && session->second.conn_fd == fd) {
       sessions.erase(session);
-      controller.RemoveFlow(flow);
-      admission.OnDeparted(flow);
+      core.Depart(flow);
       session_count.store(sessions.size(), std::memory_order_relaxed);
       std::lock_guard<std::mutex> lock(metrics_mu);
-      registry.GetGauge("svc.oneapi.sessions")
-          .Set(static_cast<double>(sessions.size()));
+      departed_metric.Add();
+      sessions_metric.Set(static_cast<double>(sessions.size()));
     }
   }
   loop.Unwatch(fd);
   conns.erase(it);  // TcpConnection destructor closes the fd
 }
 
-void OneApiService::Impl::UpdateBlockingRate() {
-  const std::uint64_t total = arrivals.load(std::memory_order_relaxed);
-  const std::uint64_t rejected = blocked.load(std::memory_order_relaxed);
-  const double rate =
-      total > 0 ? static_cast<double>(rejected) / static_cast<double>(total)
-                : 0.0;
+void OneApiService::Impl::CountVerdict(const char* reject_counter) {
+  ++arrivals;
+  if (reject_counter != nullptr) ++blocked;
+  // One lock for the whole verdict, so every snapshot's ledger balances.
   std::lock_guard<std::mutex> lock(metrics_mu);
-  registry.GetGauge("svc.oneapi.blocking_rate").Set(rate);
+  arrivals_metric.Add();
+  if (reject_counter != nullptr) {
+    registry.GetCounter(reject_counter).Add();
+  } else {
+    admitted_metric.Add();
+  }
+  sessions_metric.Set(static_cast<double>(sessions.size()));
+  registry.GetGauge("svc.oneapi.blocking_rate")
+      .Set(static_cast<double>(blocked) / static_cast<double>(arrivals));
 }
 
 void OneApiService::Impl::OnTimer() {
@@ -506,46 +500,32 @@ void OneApiService::Impl::Tick() {
   const auto tick_start = std::chrono::steady_clock::now();
   const double tick_start_us = tracer != nullptr ? tracer->now_us() : 0.0;
 
-  // --- Gather: ascending FlowId, the same iteration order (and the same
-  // EWMA arithmetic) as OneApiServer::RunBai, so wire assignments match
-  // an in-process run observation-for-observation.
-  std::vector<FlowObservation> observations;
-  observations.reserve(sessions.size());
-  const double w = std::clamp(options.efficiency_smoothing, 0.0, 1.0);
-  for (auto& [id, session] : sessions) {
-    const double sample =
-        session.has_pending_sample
-            ? session.pending_sample
-            : (session.smoothed_bits_per_rb > 0.0
-                   ? session.smoothed_bits_per_rb
-                   : options.default_bits_per_rb);
-    session.has_pending_sample = false;
-    session.smoothed_bits_per_rb =
-        session.smoothed_bits_per_rb <= 0.0
-            ? sample
-            : (1.0 - w) * session.smoothed_bits_per_rb + w * sample;
-    {
-      std::lock_guard<std::mutex> lock(metrics_mu);
-      admission.OnEstimate(id, session.smoothed_bits_per_rb);
-    }
-
-    FlowObservation obs;
-    obs.id = id;
-    obs.bits_per_rb = session.smoothed_bits_per_rb;
-    obs.client_max_level = session.info.max_level;
-    if (session.info.skimming) obs.client_max_level = 0;
-    obs.utility = session.info.utility;
-    observations.push_back(obs);
-  }
+  // --- Gather. A session with no stats report since the last tick
+  // re-feeds its smoothed estimate, or default_bits_per_rb before its
+  // first report. `sessions` has the core's keys, so a cursor walking it
+  // in step finds each session's pending sample without a lookup.
+  auto pending = sessions.begin();
+  const std::vector<FlowObservation>& observations = core.Gather(
+      [&]([[maybe_unused]] FlowId id,
+          const BaiSession& core_session) -> std::optional<double> {
+        assert(pending != sessions.end() && pending->first == id);
+        Session& session = (pending++)->second;
+        if (const auto sample = std::exchange(session.pending_sample, {})) {
+          return sample;
+        }
+        return core_session.smoothed_bits_per_rb > 0.0
+                   ? core_session.smoothed_bits_per_rb
+                   : options.default_bits_per_rb;
+      });
 
   double solve_start_us = 0.0;
   double solve_span_us = 0.0;
   std::size_t n_assignments = 0;
   if (!observations.empty()) {
-    const double rb_rate = static_cast<double>(options.num_rbs) * 1000.0;
     solve_start_us = tracer != nullptr ? tracer->now_us() : 0.0;
     const BaiDecision decision =
-        controller.DecideBai(observations, options.n_data_flows, rb_rate);
+        core.Decide(observations, options.n_data_flows,
+                    static_cast<double>(options.num_rbs) * 1000.0);
     solve_span_us =
         tracer != nullptr ? tracer->now_us() - solve_start_us : 0.0;
     n_assignments = decision.assignments.size();
@@ -561,11 +541,7 @@ void OneApiService::Impl::Tick() {
       Session& sess = session->second;
       const double encode_start_us =
           tracer != nullptr && sess.pending_trace ? tracer->now_us() : 0.0;
-      RateAssignmentMsg msg;
-      msg.flow = a.id;
-      msg.level = a.level;
-      msg.rate_bps = a.rate_bps;
-      msg.gbr_bps = a.rate_bps * options.gbr_headroom;
+      const RateAssignmentMsg msg = core.Assignment(a);
       // Echo the client's trace context (with our receive/transmit
       // stamps) on the assignment that answers it — whether or not
       // server-side tracing is on. Untraced clients get byte-identical
@@ -588,7 +564,7 @@ void OneApiService::Impl::Tick() {
         }
         sess.pending_trace.reset();
         std::lock_guard<std::mutex> lock(metrics_mu);
-        registry.GetCounter("svc.oneapi.assignments_dropped").Add();
+        assignments_dropped_metric.Add();
         continue;
       }
       sc.QueueFrame(frame);
@@ -622,12 +598,9 @@ void OneApiService::Impl::Tick() {
             ? 0.0
             : static_cast<double>(decision.solve_time.count()) / 1e3;
     std::lock_guard<std::mutex> lock(metrics_mu);
-    registry.GetCounter("svc.oneapi.assignments")
-        .Add(decision.assignments.size());
-    registry.GetHistogram("svc.oneapi.solve_us", kMicrosBounds)
-        .Observe(solve_us);
-    registry.GetGauge("svc.oneapi.video_fraction")
-        .Set(decision.video_fraction);
+    assignments_metric.Add(decision.assignments.size());
+    solve_us_metric.Observe(solve_us);
+    video_fraction_metric.Set(decision.video_fraction);
   }
 
   bais.fetch_add(1, std::memory_order_relaxed);
@@ -640,9 +613,8 @@ void OneApiService::Impl::Tick() {
                 1e3;
   {
     std::lock_guard<std::mutex> lock(metrics_mu);
-    registry.GetCounter("svc.oneapi.bais").Add();
-    registry.GetHistogram("svc.oneapi.tick_us", kMicrosBounds)
-        .Observe(tick_us);
+    bais_metric.Add();
+    tick_us_metric.Observe(tick_us);
   }
   if (tracer != nullptr) {
     tracer->EndTick(tick_start_us, solve_start_us, solve_span_us,
@@ -678,6 +650,8 @@ void OneApiService::Impl::ShutdownOnLoop() {
     loop.Unwatch(fd);
   }
   conns.clear();
+  // Not departures (the ledger counts those): the service is stopping.
+  for (const auto& entry : sessions) core.Depart(entry.first);
   sessions.clear();
   if (timer_fd >= 0) {
     loop.Unwatch(timer_fd);

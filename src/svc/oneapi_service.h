@@ -1,12 +1,16 @@
 // Standalone networked OneAPI control plane (ROADMAP item 2).
 //
-// OneApiService is the real-socket counterpart of net/oneapi_server: the
-// same Algorithm 1 BAI loop (FlareRateController, default kBatchedSweep)
-// and the same admission controller (churn/admission), but with sessions
-// arriving as TCP connections instead of direct method calls. One
-// background thread runs a netio EpollLoop carrying the listener, every
-// session connection, and a timerfd that fires the periodic BAI tick; the
-// public surface (Start/Stop/TriggerTick/counters) is thread-safe.
+// OneApiService is the socket front-end over net/BaiCore, the decision
+// core net/OneApiServer drives from the simulator: sessions arrive as TCP
+// connections instead of direct method calls, and Algorithm 1
+// (FlareRateController, default kBatchedSweep) plus the admission
+// controller (churn/admission) run inside the core. This class keeps
+// only the transport: sockets and framing, the max_sessions and
+// duplicate-flow caps, each session's pending stats sample, the trace
+// echo, and bounded outboxes. One background thread runs a netio
+// EpollLoop carrying the listener, every session connection, and a
+// timerfd that fires the periodic BAI tick; the public surface
+// (Start/Stop/TriggerTick/counters) is thread-safe.
 //
 // Protocol (svc/frame.h framing over the net/messages.h codec):
 //
@@ -17,18 +21,22 @@
 //   <----- kAssignment (EncodeRateAssignment) -    every BAI tick, fanned
 //   ------ kBye ------------------------------->   clean teardown
 //
-// Semantics mirror OneApiServer::RunBai exactly — sessions iterate in
-// ascending FlowId order, e_u = 8*tx_bytes/rbs, the same EWMA smoothing,
-// skimming pins client_max_level to 0, gbr = rate * gbr_headroom — so an
-// assignment stream observed on the wire is value-identical to an
-// in-process run over the same schedule (tests/oneapi_service_test.cpp
-// holds the two byte-equal through the shared codec).
+// e_u = 8*tx_bytes/rbs per stats report; a session with no report since
+// the last tick re-feeds its smoothed estimate (default_bits_per_rb
+// before its first). Everything else — FlowId order, EWMA, skimming pin,
+// gbr = rate * gbr_headroom — is BaiCore's, so an assignment stream
+// observed on the wire is byte-identical to an in-process run over the
+// same schedule by construction (tests/oneapi_service_test.cpp guards it).
 //
 // Overload behaviour is load-shedding, never latency collapse: arrivals
 // beyond max_sessions or rejected by the admission policy get a typed
-// kOverload frame and a graceful close (both counted); per-connection
-// outboxes are bounded, so a slow client loses its assignment frames
-// (counted) instead of stalling the BAI tick for everyone else.
+// kOverload frame and a graceful close (both counted); a frame that does
+// not decode gets kOverload reason=malformed (svc.oneapi.malformed_rejects)
+// and the connection closes. Per-connection outboxes are bounded, so a
+// slow client loses its assignment frames (counted) instead of stalling
+// the BAI tick for everyone else. The session ledger balances at every
+// snapshot: svc.oneapi.arrivals == admitted + overload_rejects +
+// admission_rejects, and admitted == departed + the sessions gauge.
 #pragma once
 
 #include <cstdint>

@@ -62,6 +62,45 @@ TEST(Messages, ClientInfoRejectsMalformed) {
       DecodeClientInfo("type=client_info;flow=1;ladder=10,abc")
           .has_value());
   EXPECT_FALSE(DecodeClientInfo("=1;type=client_info").has_value());
+  // Ladders the optimizer would reject: descending, repeated, zero,
+  // negative, non-finite.
+  for (const char* ladder :
+       {"500000,100000", "100,100", "0,100", "-5,100", "nan", "100,inf"}) {
+    EXPECT_FALSE(DecodeClientInfo(std::string("type=client_info;flow=1;"
+                                              "ladder=") +
+                                  ladder)
+                     .has_value())
+        << ladder;
+  }
+  // Utility parameters must be finite and positive, and come as a pair.
+  for (const char* utility :
+       {"beta=0;theta=1", "beta=-1;theta=1", "beta=1;theta=0",
+        "beta=nan;theta=1", "beta=1;theta=inf", "beta=1"}) {
+    EXPECT_FALSE(DecodeClientInfo(std::string("type=client_info;flow=1;"
+                                              "ladder=100,200;") +
+                                  utility)
+                     .has_value())
+        << utility;
+  }
+  // Flow ids and rung caps must be whole and fit their field;
+  // kInvalidFlow itself is reserved.
+  for (const char* field :
+       {"flow=4294967295", "flow=5e9", "flow=-1", "flow=1.5", "flow=nan"}) {
+    EXPECT_FALSE(DecodeClientInfo(std::string("type=client_info;ladder=100;") +
+                                  field)
+                     .has_value())
+        << field;
+  }
+  for (const char* cap : {"max_level=-1", "max_level=1.5", "max_level=3e9",
+                          "max_level=inf", "max_level=x"}) {
+    EXPECT_FALSE(DecodeClientInfo(std::string("type=client_info;flow=1;"
+                                              "ladder=100;") +
+                                  cap)
+                     .has_value())
+        << cap;
+  }
+  EXPECT_TRUE(DecodeClientInfo("type=client_info;flow=4294967294;ladder=100")
+                  .has_value());
 }
 
 TEST(Messages, RateAssignmentRoundTrip) {
@@ -82,6 +121,15 @@ TEST(Messages, RateAssignmentRejectsMissingFields) {
   EXPECT_FALSE(DecodeRateAssignment("type=rate_assignment;flow=1;level=2")
                    .has_value());
   EXPECT_FALSE(DecodeRateAssignment("type=client_info;flow=1").has_value());
+  for (const char* field :
+       {"flow=4294967295;level=1;rate=1;gbr=1", "flow=1;level=-1;rate=1;gbr=1",
+        "flow=1;level=0.5;rate=1;gbr=1", "flow=1;level=1;rate=nan;gbr=1",
+        "flow=1;level=1;rate=1;gbr=inf"}) {
+    EXPECT_FALSE(
+        DecodeRateAssignment(std::string("type=rate_assignment;") + field)
+            .has_value())
+        << field;
+  }
 }
 
 TEST(Messages, StatsReportRoundTrip) {
@@ -116,6 +164,26 @@ TEST(Messages, StatsReportRejectsBadClass) {
       DecodeStatsReport("type=stats_report;flow=1;class=voice;"
                         "tx_bytes=1;rbs=1;tput=1;rb_util=0.1")
           .has_value());
+  // Counts must be whole and fit uint64; a NaN sample would otherwise
+  // poison the session's EWMA for good.
+  for (const char* field :
+       {"tx_bytes=nan;rbs=1", "tx_bytes=-1;rbs=1", "tx_bytes=1.5;rbs=1",
+        "tx_bytes=1e20;rbs=1", "tx_bytes=1;rbs=inf", "tx_bytes=1;rbs=-8",
+        "tx_bytes=1;rbs=0.25"}) {
+    EXPECT_FALSE(DecodeStatsReport(std::string("type=stats_report;flow=1;"
+                                               "class=video;tput=1;"
+                                               "rb_util=0.1;") +
+                                   field)
+                     .has_value())
+        << field;
+  }
+  EXPECT_FALSE(DecodeStatsReport("type=stats_report;flow=4294967295;"
+                                 "class=video;tx_bytes=1;rbs=1;tput=1;"
+                                 "rb_util=0.1")
+                   .has_value());
+  EXPECT_FALSE(DecodeStatsReport("type=stats_report;flow=1;class=video;"
+                                 "tx_bytes=1;rbs=1;tput=nan;rb_util=0.1")
+                   .has_value());
 }
 
 TEST(Messages, MutatedWiresNeverCrashAndRarelyParse) {
@@ -162,10 +230,12 @@ TEST(Messages, RandomizedRoundTripAllTypes) {
   for (int trial = 0; trial < 300; ++trial) {
     ClientInfo info;
     info.flow = static_cast<FlowId>(rng.UniformInt(0, 999999));
+    // Ladders must be strictly ascending: random positive steps.
     const int levels = static_cast<int>(rng.UniformInt(1, 8));
+    double rung = 0.0;
     for (int i = 0; i < levels; ++i) {
-      info.ladder_bps.push_back(
-          static_cast<double>(rng.UniformInt(1, 999999)));
+      rung += static_cast<double>(rng.UniformInt(1, 124999));
+      info.ladder_bps.push_back(rung);
     }
     if (rng.UniformInt(0, 1) == 1) {
       info.max_level = static_cast<int>(

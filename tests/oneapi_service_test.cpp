@@ -334,6 +334,174 @@ TEST(OneApiService, WireAssignmentsMatchInProcessServer) {
   service.Stop();
 }
 
+TEST(OneApiService, WireMatchesInProcessAcrossRefreshCapDepartureArrival) {
+  // The same byte-for-byte bar as above, over the session-table paths a
+  // steady run never takes: a skimming refresh on and then off, a
+  // max_level cap, one departure and one late arrival. delta = 0 adopts
+  // every recommended increase at once, so flows climb far enough for
+  // the cap and the skimming pin to bind.
+  constexpr int kBais = 9;
+  const std::vector<int> kItbs = {6, 9, 12, 10};  // flow 3 arrives late
+  const Mpd mpd = MakeMpd(SimulationLadderKbps(), 10.0);
+  FlareParams params = OneApiServiceOptions::BatchedParams();
+  params.delta = 0;
+
+  Simulator sim;
+  Cell cell(sim, std::make_unique<TwoPhaseGbrScheduler>(), CellConfig{},
+            Rng(1));
+  Pcrf pcrf;
+  Pcef pcef(sim, cell, 0);
+  OneApiConfig config;
+  config.uplink_latency = 0;
+  config.downlink_latency = 0;
+  config.deterministic_timing = true;
+  config.params = params;
+  OneApiServer server(sim, cell, pcrf, pcef, config);
+  BaiTraceSink sink;
+  server.SetObservers(nullptr, &sink);
+
+  OneApiServiceOptions options;
+  options.bai_ms = 0;
+  options.num_rbs = cell.num_rbs();
+  options.deterministic_timing = true;
+  options.params = params;
+  OneApiService service(options);
+  ASSERT_TRUE(service.Start());
+
+  std::vector<FlowId> flows;
+  std::vector<std::unique_ptr<FlarePlugin>> plugins;
+  for (int itbs : kItbs) {
+    const UeId ue = cell.AddUe(std::make_unique<StaticItbsChannel>(itbs));
+    flows.push_back(cell.AddFlow(ue, FlowType::kVideo));
+    plugins.push_back(std::make_unique<FlarePlugin>(flows.back()));
+  }
+  std::vector<std::unique_ptr<TestClient>> clients(flows.size());
+  std::vector<bool> live(flows.size(), false);
+  std::uint64_t infos = 0;
+  std::uint64_t stats = 0;
+  std::uint64_t sessions = 0;
+  const auto land = [&] { sim.RunUntil(sim.Now() + kMillisecond); };
+
+  const auto arrive = [&](std::size_t i) {
+    server.ConnectVideoClient(plugins[i].get(), mpd);
+    land();
+    clients[i] = std::make_unique<TestClient>();
+    ASSERT_TRUE(clients[i]->Connect(service.port()));
+    ASSERT_TRUE(clients[i]->SendFrame(
+        FrameType::kClientInfo,
+        EncodeClientInfo(plugins[i]->BuildClientInfo(mpd))));
+    const auto welcome = clients[i]->ReadFrame();
+    ASSERT_TRUE(welcome.has_value());
+    ASSERT_EQ(welcome->type, FrameType::kWelcome);
+    live[i] = true;
+    ++infos;
+    ++sessions;
+  };
+  // The plugin's current constraints, pushed through both front-ends.
+  const auto refresh = [&](std::size_t i) {
+    const ClientInfo info = plugins[i]->BuildClientInfo(mpd);
+    server.UpdateClientInfo(flows[i], info);
+    land();
+    ASSERT_TRUE(
+        clients[i]->SendFrame(FrameType::kClientInfo, EncodeClientInfo(info)));
+    ++infos;
+    // The tick is posted behind the refresh once the loop has read it.
+    ASSERT_TRUE(WaitFor([&] { return service.infos_received() == infos; }));
+  };
+  const auto depart = [&](std::size_t i) {
+    server.DisconnectVideoClient(flows[i]);
+    ASSERT_TRUE(clients[i]->SendFrame(FrameType::kBye, ""));
+    live[i] = false;
+    --sessions;
+    ASSERT_TRUE(WaitFor([&] { return service.sessions() == sessions; }));
+  };
+
+  std::vector<std::vector<int>> levels;  // per BAI, in-process, by client
+  for (int bai = 0; bai < kBais; ++bai) {
+    switch (bai) {
+      case 0:
+        for (std::size_t i = 0; i < 3; ++i) arrive(i);
+        break;
+      case 3:
+        plugins[0]->SetSkimming(true);
+        refresh(0);
+        break;
+      case 5:
+        plugins[0]->SetSkimming(false);
+        refresh(0);
+        plugins[1]->SetMaxLevel(1);
+        refresh(1);
+        break;
+      case 6:
+        depart(2);
+        arrive(3);
+        break;
+      default:
+        break;
+    }
+    if (HasFatalFailure()) return;
+
+    const std::size_t first_row = sink.bai_rows().size();
+    server.RunBai();
+    land();
+    std::vector<std::string> want;
+    levels.emplace_back(flows.size(), -1);
+    for (std::size_t r = first_row; r < sink.bai_rows().size(); ++r) {
+      const BaiTraceRow& row = sink.bai_rows()[r];
+      RateAssignmentMsg msg;
+      msg.flow = row.flow;
+      msg.level = row.enforced_level;
+      msg.rate_bps = row.rate_bps;
+      msg.gbr_bps = row.gbr_bps;
+      want.push_back(EncodeRateAssignment(msg));
+      levels.back()[row.flow - flows[0]] = row.enforced_level;
+    }
+
+    std::vector<std::string> got;
+    for (std::size_t i = 0; i < flows.size(); ++i) {
+      if (!live[i]) continue;
+      FlowStatsReport report;
+      report.flow = flows[i];
+      report.type = FlowType::kVideo;
+      report.tx_bytes = static_cast<std::uint64_t>(TbsBitsPerPrb(kItbs[i]));
+      report.rbs = 8;
+      ASSERT_TRUE(clients[i]->SendFrame(FrameType::kStatsReport,
+                                        EncodeStatsReport(report)));
+      ++stats;
+    }
+    ASSERT_TRUE(WaitFor([&] { return service.stats_received() == stats; }));
+    service.TriggerTick();
+    for (std::size_t i = 0; i < flows.size(); ++i) {
+      if (!live[i]) continue;
+      const auto frame = clients[i]->ReadFrame();
+      ASSERT_TRUE(frame.has_value()) << "no assignment, bai " << bai;
+      ASSERT_EQ(frame->type, FrameType::kAssignment);
+      got.push_back(frame->payload);
+    }
+    EXPECT_EQ(got, want) << "wire diverged from in-process at bai " << bai;
+  }
+
+  // The schedule really took each path.
+  EXPECT_GE(levels[2][0], 2);   // flow 0 climbed before skimming ...
+  EXPECT_EQ(levels[3][0], 0);   // ... was pinned to rung 0 while skimming
+  EXPECT_EQ(levels[4][0], 0);
+  EXPECT_EQ(levels[5][0], 1);   // ... and climbs again once it stops
+  EXPECT_GE(levels[4][1], 2);   // flow 1 above the cap ...
+  EXPECT_EQ(levels[5][1], 1);   // ... drops to it at once
+  EXPECT_EQ(levels[6][2], -1);  // flow 2 departed
+  EXPECT_EQ(levels[6][3], 0);   // flow 3 arrived at the floor
+  EXPECT_EQ(levels[kBais - 1][3], kBais - 1 - 6);
+
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    if (live[i]) {
+      EXPECT_TRUE(clients[i]->SendFrame(FrameType::kBye, ""));
+    }
+  }
+  EXPECT_TRUE(WaitFor([&] { return service.sessions() == 0; }));
+  EXPECT_EQ(service.assignments_dropped(), 0u);
+  service.Stop();
+}
+
 // ---------------------------------------------------------------------
 // Overload behaviour
 // ---------------------------------------------------------------------
@@ -427,6 +595,103 @@ TEST(OneApiService, MalformedFrameGetsTypedRejectAndClose) {
   ASSERT_TRUE(info.has_value());
   EXPECT_EQ(info->reason, "malformed");
   EXPECT_FALSE(client.ReadFrame(500).has_value());  // closed
+  service.Stop();
+}
+
+std::uint64_t CounterOr0(const MetricsSnapshot& snapshot,
+                         const std::string& name) {
+  const auto it = snapshot.counters.find(name);
+  return it == snapshot.counters.end() ? 0 : it->second;
+}
+
+/// The daemon's session ledger: every arrival gets exactly one verdict,
+/// and every admitted session is either still open or departed.
+void ExpectServiceLedgerBalances(const MetricsSnapshot& snapshot) {
+  const std::uint64_t arrivals = CounterOr0(snapshot, "svc.oneapi.arrivals");
+  const std::uint64_t admitted = CounterOr0(snapshot, "svc.oneapi.admitted");
+  EXPECT_EQ(arrivals,
+            admitted + CounterOr0(snapshot, "svc.oneapi.overload_rejects") +
+                CounterOr0(snapshot, "svc.oneapi.admission_rejects"));
+  EXPECT_EQ(static_cast<double>(admitted),
+            static_cast<double>(CounterOr0(snapshot, "svc.oneapi.departed")) +
+                snapshot.gauges.at("svc.oneapi.sessions"));
+}
+
+TEST(OneApiService, HostileFramesAreRejectedAndDaemonSurvives) {
+  // Each of these decoded at one time and then threw inside the
+  // optimizer on the IO thread, killing the daemon. Now each gets a
+  // typed, counted `malformed` reject and the service keeps serving.
+  OneApiServiceOptions options;
+  options.bai_ms = 0;
+  OneApiService service(options);  // default admit-all
+  ASSERT_TRUE(service.Start());
+  const auto expect_malformed_close = [](TestClient& client) {
+    const auto reject = client.ReadFrame();
+    ASSERT_TRUE(reject.has_value());
+    ASSERT_EQ(reject->type, FrameType::kOverload);
+    const auto info = DecodeOverload(reject->payload);
+    ASSERT_TRUE(info.has_value());
+    EXPECT_EQ(info->reason, "malformed");
+    EXPECT_FALSE(client.ReadFrame(500).has_value());  // closed
+  };
+  const auto welcome = [&](TestClient& client, FlowId flow) {
+    ASSERT_TRUE(client.Connect(service.port()));
+    ASSERT_TRUE(client.SendFrame(FrameType::kClientInfo,
+                                 EncodeClientInfo(BasicInfo(flow))));
+    const auto frame = client.ReadFrame();
+    ASSERT_TRUE(frame.has_value());
+    ASSERT_EQ(frame->type, FrameType::kWelcome);
+  };
+
+  const std::vector<std::string> hostile_arrivals = {
+      "type=client_info;flow=1;ladder=500000,100000",
+      "type=client_info;flow=2;ladder=100000,500000;beta=0;theta=1",
+      "type=client_info;flow=4294967295;ladder=100000,500000",
+  };
+  for (const std::string& payload : hostile_arrivals) {
+    TestClient client;
+    ASSERT_TRUE(client.Connect(service.port()));
+    ASSERT_TRUE(client.SendFrame(FrameType::kClientInfo, payload));
+    expect_malformed_close(client);
+  }
+
+  // Admitted sessions turning hostile: a refresh with a negative beta
+  // (which used to crash the next tick) and a NaN stats sample (which
+  // used to poison the session's EWMA for good).
+  TestClient refresher;
+  welcome(refresher, 7);
+  ASSERT_TRUE(refresher.SendFrame(
+      FrameType::kClientInfo,
+      "type=client_info;flow=7;ladder=100000,250000,500000;beta=-1;"
+      "theta=1"));
+  expect_malformed_close(refresher);
+  TestClient poisoner;
+  welcome(poisoner, 8);
+  ASSERT_TRUE(poisoner.SendFrame(
+      FrameType::kStatsReport,
+      "type=stats_report;flow=8;class=video;tx_bytes=nan;rbs=8;tput=0;"
+      "rb_util=0"));
+  expect_malformed_close(poisoner);
+  ASSERT_TRUE(WaitFor([&] { return service.sessions() == 0; }));
+  service.TriggerTick();
+
+  // A well-formed client is still admitted and assigned.
+  TestClient good;
+  welcome(good, 9);
+  service.TriggerTick();
+  const auto assignment = good.ReadFrame();
+  ASSERT_TRUE(assignment.has_value());
+  ASSERT_EQ(assignment->type, FrameType::kAssignment);
+  const auto msg = DecodeRateAssignment(assignment->payload);
+  ASSERT_TRUE(msg.has_value());
+  EXPECT_EQ(msg->flow, 9u);
+  EXPECT_EQ(msg->level, 0);
+
+  const MetricsSnapshot snapshot = service.SnapshotMetrics();
+  EXPECT_EQ(CounterOr0(snapshot, "svc.oneapi.malformed_rejects"), 5u);
+  EXPECT_EQ(CounterOr0(snapshot, "svc.oneapi.arrivals"), 3u);
+  EXPECT_EQ(CounterOr0(snapshot, "svc.oneapi.departed"), 2u);
+  ExpectServiceLedgerBalances(snapshot);
   service.Stop();
 }
 
@@ -764,6 +1029,13 @@ TEST(LoadGen, ChurnedRunAgainstLiveServiceCompletes) {
   EXPECT_EQ(result.connect_failures, 0u);
   EXPECT_EQ(result.protocol_errors, 0u);
   EXPECT_EQ(result.departed, result.admitted);
+  // The daemon's own ledger balances too, and agrees with the client's.
+  service.Stop();
+  const MetricsSnapshot service_metrics = service.SnapshotMetrics();
+  ExpectServiceLedgerBalances(service_metrics);
+  EXPECT_EQ(CounterOr0(service_metrics, "svc.oneapi.arrivals"),
+            options.sessions);
+  EXPECT_EQ(CounterOr0(service_metrics, "svc.oneapi.malformed_rejects"), 0u);
 
   // The SLO gauges flare_report watches must be present in the export.
   MetricsRegistry registry;
@@ -776,7 +1048,6 @@ TEST(LoadGen, ChurnedRunAgainstLiveServiceCompletes) {
         snapshot.gauges.at("svc.oneapi.assign_turnaround.p99_us"), 0.0);
     EXPECT_GE(result.turnaround_p99_us, result.turnaround_p50_us);
   }
-  service.Stop();
   EXPECT_GT(service.bais(), 0u);
 }
 
