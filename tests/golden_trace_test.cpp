@@ -125,5 +125,27 @@ TEST(GoldenTrace, TestbedFlareChurn) {
   CheckAgainstGolden("testbed_flare_churn.csv", csv);
 }
 
+// The ns-3-style cell of Figure 6: eight FLARE players placed at random
+// on the Friis + shadowing + fast-fading channel, PSS scheduler, 25 RBs.
+// The testbed goldens above all run on fixed-I_TBS channels; this one
+// pins the faded channel path (pathloss, fading trace, AMC) byte for
+// byte.
+TEST(GoldenTrace, SimStaticFlare) {
+  ScenarioConfig config = SimStaticPreset(Scheme::kFlare);
+  config.duration_s = 120.0;
+  config.seed = 1;
+  CheckAgainstGolden("sim_static_flare.csv", TraceCsv(config));
+}
+
+// Figure 7's mobile cell with one greedy data flow added, so the
+// random-waypoint mobility model, the PF phase of PSS and TCP all run.
+TEST(GoldenTrace, SimMobileFlare) {
+  ScenarioConfig config = SimMobilePreset(Scheme::kFlare);
+  config.duration_s = 120.0;
+  config.seed = 1;
+  config.n_data = 1;
+  CheckAgainstGolden("sim_mobile_flare.csv", TraceCsv(config));
+}
+
 }  // namespace
 }  // namespace flare
