@@ -222,9 +222,8 @@ void Cell::RunTti() {
     if (ue.channel) ue.itbs = ue.channel->ItbsAt(now);
   }
 
-  // 2. Refill token buckets and build candidates.
-  std::vector<SchedCandidate> candidates;
-  candidates.reserve(flows_.size());
+  // 2. Refill token buckets and build candidates (in FlowId order).
+  candidates_.clear();
   for (auto& [id, entry] : flows_) {
     FlowState& f = entry.state;
     if (f.has_gbr()) {
@@ -252,19 +251,19 @@ void Cell::RunTti() {
           static_cast<std::uint64_t>(std::max(f.mbr_credit_bytes, 0.0)));
     }
     if (c.max_bytes == 0 || c.bytes_per_rb == 0) continue;
-    candidates.push_back(c);
+    candidates_.push_back(c);
   }
 
   // 3. Schedule.
-  std::vector<SchedGrant> grants;
-  if (!candidates.empty()) {
-    grants = scheduler_->Allocate(candidates, config_.num_rbs, rng_);
+  grants_.clear();
+  if (!candidates_.empty()) {
+    scheduler_->Allocate(candidates_, config_.num_rbs, rng_, grants_);
   }
 
   // 4. Apply grants: drain queues, charge buckets, update trace counters.
-  std::map<FlowId, std::uint64_t> served;
+  served_.clear();
   int rbs_used = 0;
-  for (const SchedGrant& g : grants) {
+  for (const SchedGrant& g : grants_) {
     if (g.flow == nullptr || g.bytes == 0) continue;
     FlowState& f = *g.flow;
 
@@ -292,9 +291,12 @@ void Cell::RunTti() {
     f.window_rbs += static_cast<std::uint64_t>(g.rbs);
     f.total_tx_bytes += bytes;
     f.total_rbs += static_cast<std::uint64_t>(g.rbs);
-    served[f.id] += bytes;
+    served_.emplace_back(f.id, bytes);
     rbs_used += g.rbs;
   }
+  // Grants come in scheduler order; delivery goes in FlowId order. (One
+  // grant per flow, so no id repeats.)
+  std::sort(served_.begin(), served_.end());
   assert(rbs_used <= config_.num_rbs);
   total_rbs_used_ += static_cast<std::uint64_t>(rbs_used);
 
@@ -305,7 +307,7 @@ void Cell::RunTti() {
   rbs_used_metric_.Add(static_cast<std::uint64_t>(rbs_used));
   // (Allocate is skipped on idle TTIs, so its stats would be stale then.)
   const SchedTtiStats phase =
-      candidates.empty() ? SchedTtiStats{} : scheduler_->tti_stats();
+      candidates_.empty() ? SchedTtiStats{} : scheduler_->tti_stats();
   rbs_priority_metric_.Add(static_cast<std::uint64_t>(phase.rbs_priority));
   rbs_shared_metric_.Add(static_cast<std::uint64_t>(phase.rbs_shared));
   if (trace_sink_ != nullptr || gbr_shortfall_metric_.enabled()) {
@@ -323,20 +325,23 @@ void Cell::RunTti() {
   }
 
   // 5. PF averages: every flow decays; served flows add their TTI rate.
+  // Both flows_ and served_ ascend by FlowId, so one walk pairs them.
   const double tc = std::max(config_.pf_time_constant, 1.0);
+  auto next_served = served_.begin();
   for (auto& [id, entry] : flows_) {
     FlowState& f = entry.state;
-    const auto it = served.find(id);
-    const double rate_bps =
-        it == served.end() ? 0.0
-                           : static_cast<double>(it->second) * 8.0 / tti_s;
+    double rate_bps = 0.0;
+    if (next_served != served_.end() && next_served->first == id) {
+      rate_bps = static_cast<double>(next_served->second) * 8.0 / tti_s;
+      ++next_served;
+    }
     f.pf_avg_bps = (1.0 - 1.0 / tc) * f.pf_avg_bps + rate_bps / tc;
     if (f.pf_avg_bps < 1.0) f.pf_avg_bps = 1.0;
   }
 
   // 6. Deliver.
   if (deliver_) {
-    for (const auto& [id, bytes] : served) deliver_(id, bytes, now);
+    for (const auto& [id, bytes] : served_) deliver_(id, bytes, now);
   }
 
   // Span sampling: accumulate this TTI's wall-clock cost (including the

@@ -17,6 +17,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "lte/channel.h"
@@ -163,6 +164,12 @@ class Cell {
   std::vector<UeId> free_ues_;
   std::map<FlowId, FlowEntry> flows_;
   FlowId next_flow_id_ = 1;
+
+  // Per-TTI working vectors, kept as members so a steady-state TTI
+  // allocates nothing.
+  std::vector<SchedCandidate> candidates_;
+  std::vector<SchedGrant> grants_;
+  std::vector<std::pair<FlowId, std::uint64_t>> served_;  // FlowId order
 
   DeliveryFn deliver_;
   DropFn drop_;

@@ -68,15 +68,14 @@ FadedMobilityChannel::FadedMobilityChannel(
   }
 }
 
-double FadedMobilityChannel::FadingDbAt(SimTime now) const {
-  const auto idx = static_cast<std::size_t>(
+std::size_t FadedMobilityChannel::FadingIndex(SimTime now) const {
+  return static_cast<std::size_t>(
       (now / std::max<SimTime>(config_.fading_sample_period, 1)) %
       static_cast<SimTime>(fading_trace_db_.size()));
-  return fading_trace_db_[idx];
 }
 
-double FadedMobilityChannel::SinrDbAt(SimTime now) {
-  const Position p = mobility_->At(now);
+double FadedMobilityChannel::SinrDb(Position p,
+                                    std::size_t fading_index) const {
   const double distance = std::max(
       std::hypot(p.x - site_.x, p.y - site_.y), config_.min_distance_m);
   double pathloss;
@@ -90,12 +89,27 @@ double FadedMobilityChannel::SinrDbAt(SimTime now) {
       break;
   }
   const double rx_dbm = config_.tx_power_dbm - pathloss + shadowing_db_ +
-                        FadingDbAt(now);
+                        fading_trace_db_[fading_index];
   return rx_dbm - config_.noise_dbm;
 }
 
+double FadedMobilityChannel::SinrDbAt(SimTime now) {
+  return SinrDb(mobility_->At(now), FadingIndex(now));
+}
+
 int FadedMobilityChannel::ItbsAt(SimTime now) {
-  return SinrDbToItbs(SinrDbAt(now));
+  // The mobility model is queried every call: it may advance internal
+  // state (random-waypoint legs) and must see every TTI as before.
+  const Position p = mobility_->At(now);
+  const std::size_t fading_index = FadingIndex(now);
+  if (fading_index == memo_fading_index_ && p.x == memo_position_.x &&
+      p.y == memo_position_.y) {
+    return memo_itbs_;
+  }
+  memo_position_ = p;
+  memo_fading_index_ = fading_index;
+  memo_itbs_ = SinrDbToItbs(SinrDb(p, fading_index));
+  return memo_itbs_;
 }
 
 }  // namespace flare

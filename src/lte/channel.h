@@ -97,6 +97,10 @@ class FadedMobilityChannel final : public ChannelModel {
                        const RadioConfig& config, Rng rng,
                        Position site = Position{0.0, 0.0});
 
+  /// Memoized on (position, fading-sample index): the I_TBS is a pure
+  /// function of those two, so a UE that has not moved within one fading
+  /// sample reuses the last AMC result instead of recomputing pathloss.
+  /// Any future time-dependent term of the SINR must join the memo key.
   int ItbsAt(SimTime now) override;
 
   /// SINR before AMC quantization (exposed for tests, debugging and the
@@ -104,7 +108,8 @@ class FadedMobilityChannel final : public ChannelModel {
   double SinrDbAt(SimTime now);
 
  private:
-  double FadingDbAt(SimTime now) const;
+  std::size_t FadingIndex(SimTime now) const;
+  double SinrDb(Position p, std::size_t fading_index) const;
 
   std::shared_ptr<MobilityModel> mobility_;
   RadioConfig config_;
@@ -114,6 +119,12 @@ class FadedMobilityChannel final : public ChannelModel {
   // a sum-of-sinusoids Jakes-style process sampled every
   // `fading_sample_period`.
   std::vector<double> fading_trace_db_;
+
+  // ItbsAt memo: the last key and its I_TBS. The initial index matches
+  // no fading sample, so the first call computes.
+  Position memo_position_{};
+  std::size_t memo_fading_index_ = static_cast<std::size_t>(-1);
+  int memo_itbs_ = 0;
 };
 
 }  // namespace flare

@@ -12,15 +12,15 @@ namespace flare {
 
 class PfScheduler final : public Scheduler {
  public:
-  std::vector<SchedGrant> Allocate(std::vector<SchedCandidate>& candidates,
-                                   int n_rbs, Rng& rng) override;
+  void Allocate(std::vector<SchedCandidate>& candidates, int n_rbs,
+                Rng& rng, std::vector<SchedGrant>& grants) override;
   std::string Name() const override { return "pf"; }
 };
 
 class RoundRobinScheduler final : public Scheduler {
  public:
-  std::vector<SchedGrant> Allocate(std::vector<SchedCandidate>& candidates,
-                                   int n_rbs, Rng& rng) override;
+  void Allocate(std::vector<SchedCandidate>& candidates, int n_rbs,
+                Rng& rng, std::vector<SchedGrant>& grants) override;
   std::string Name() const override { return "rr"; }
 
  private:

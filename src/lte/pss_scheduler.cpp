@@ -4,16 +4,13 @@
 
 namespace flare {
 
-std::vector<SchedGrant> PssScheduler::Allocate(
-    std::vector<SchedCandidate>& candidates, int n_rbs, Rng& /*rng*/) {
-  std::vector<SchedGrant> grants;
-  tti_stats_ = SchedTtiStats{};
-  if (n_rbs <= 0) return grants;
-
-  // --- Priority set: GBR flows still owed bytes this scheduling window.
-  std::vector<std::size_t> priority;
+int GbrPriorityPass(const std::vector<SchedCandidate>& candidates, int n_rbs,
+                    SchedScratch& scratch, bool video_only) {
+  std::vector<std::size_t>& priority = scratch.order();
+  priority.clear();
   for (std::size_t i = 0; i < candidates.size(); ++i) {
     const FlowState& f = *candidates[i].flow;
+    if (video_only && f.type != FlowType::kVideo) continue;
     if (f.has_gbr() && f.gbr_credit_bytes > 0.0) priority.push_back(i);
   }
   std::sort(priority.begin(), priority.end(),
@@ -27,7 +24,7 @@ std::vector<SchedGrant> PssScheduler::Allocate(
   int used = 0;
   for (std::size_t idx : priority) {
     if (used >= n_rbs) break;
-    SchedCandidate& c = candidates[idx];
+    const SchedCandidate& c = candidates[idx];
     if (c.bytes_per_rb == 0) continue;
     // Serve up to the GBR debt (token credit), bounded by queue/MBR.
     const auto owed = static_cast<std::uint64_t>(
@@ -38,19 +35,28 @@ std::vector<SchedGrant> PssScheduler::Allocate(
     if (rbs <= 0) continue;
     const std::uint64_t bytes = std::min<std::uint64_t>(
         want, static_cast<std::uint64_t>(rbs) * c.bytes_per_rb);
-    grants.push_back(SchedGrant{c.flow, rbs, bytes});
+    scratch.Grant(idx, c.flow, rbs, bytes);
     used += rbs;
   }
+  return used;
+}
 
+void PssScheduler::Allocate(std::vector<SchedCandidate>& candidates,
+                            int n_rbs, Rng& /*rng*/,
+                            std::vector<SchedGrant>& grants) {
+  scratch_.Begin(candidates.size(), grants);
+  tti_stats_ = SchedTtiStats{};
+  if (n_rbs <= 0) return;
+
+  // --- Priority set: GBR flows still owed bytes this scheduling window.
+  const int used = GbrPriorityPass(candidates, n_rbs, scratch_);
   tti_stats_.rbs_priority = used;
 
   // --- Frequency domain: leftover RBs under proportional fair, all flows.
   // As in the two-phase scheduler, a priority-set flow may be served again
-  // here; coalescing keeps the one-grant-per-flow contract.
+  // here; its service merges into its one grant.
   tti_stats_.rbs_shared =
-      ProportionalFairPass(candidates, n_rbs - used, grants);
-  CoalesceGrants(grants);
-  return grants;
+      ProportionalFairPass(candidates, n_rbs - used, scratch_);
 }
 
 }  // namespace flare

@@ -14,8 +14,8 @@ namespace flare {
 
 class PssScheduler final : public Scheduler {
  public:
-  std::vector<SchedGrant> Allocate(std::vector<SchedCandidate>& candidates,
-                                   int n_rbs, Rng& rng) override;
+  void Allocate(std::vector<SchedCandidate>& candidates, int n_rbs,
+                Rng& rng, std::vector<SchedGrant>& grants) override;
   std::string Name() const override { return "pss"; }
 };
 

@@ -1,6 +1,7 @@
 #include "net/messages.h"
 
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <sstream>
@@ -44,6 +45,24 @@ std::optional<Fields> Split(const std::string& wire) {
 constexpr double kIntLimit = 2147483648.0;        // 2^31
 constexpr double kUint64Limit = 18446744073709551616.0;  // 2^64
 constexpr double kFlowLimit = static_cast<double>(kInvalidFlow);
+
+constexpr double kExactLimit = 9007199254740992.0;  // 2^53
+
+/// A number for the wire. Whole numbers below 2^53 (ids, rung indices,
+/// counters, ladder rungs) must decode back exactly: they keep the %.6g
+/// form when that is exact, so such frames stay byte-identical with
+/// peers that always send %.6g, and are written with all their digits
+/// otherwise. Other values keep the %.6g form.
+std::string FormatExact(double value) {
+  std::string text = FormatNumber(value);
+  if (std::trunc(value) != value || std::fabs(value) >= kExactLimit ||
+      std::strtod(text.c_str(), nullptr) == value) {
+    return text;
+  }
+  char digits[32];
+  std::snprintf(digits, sizeof(digits), "%.0f", value);
+  return digits;
+}
 
 std::optional<double> ParseFinite(const std::string& text) {
   char* end = nullptr;
@@ -94,14 +113,14 @@ std::optional<std::vector<double>> Ladder(const Fields& fields) {
 std::string EncodeClientInfo(const ClientInfo& info) {
   Fields fields;
   fields["type"] = "client_info";
-  fields["flow"] = FormatNumber(info.flow);
+  fields["flow"] = FormatExact(info.flow);
   std::ostringstream ladder;
   for (std::size_t i = 0; i < info.ladder_bps.size(); ++i) {
     if (i > 0) ladder << ',';
-    ladder << FormatNumber(info.ladder_bps[i]);
+    ladder << FormatExact(info.ladder_bps[i]);
   }
   fields["ladder"] = ladder.str();
-  if (info.max_level) fields["max_level"] = FormatNumber(*info.max_level);
+  if (info.max_level) fields["max_level"] = FormatExact(*info.max_level);
   if (info.utility) {
     fields["beta"] = FormatNumber(info.utility->beta);
     fields["theta"] = FormatNumber(info.utility->theta_bps);
@@ -145,9 +164,9 @@ std::optional<ClientInfo> DecodeClientInfo(const std::string& wire) {
 std::string EncodeRateAssignment(const RateAssignmentMsg& msg) {
   Fields fields;
   fields["type"] = "rate_assignment";
-  fields["flow"] = FormatNumber(msg.flow);
-  fields["level"] = FormatNumber(msg.level);
-  fields["rate"] = FormatNumber(msg.rate_bps);
+  fields["flow"] = FormatExact(msg.flow);
+  fields["level"] = FormatExact(msg.level);
+  fields["rate"] = FormatExact(msg.rate_bps);
   fields["gbr"] = FormatNumber(msg.gbr_bps);
   return Join(fields);
 }
@@ -175,10 +194,10 @@ std::optional<RateAssignmentMsg> DecodeRateAssignment(
 std::string EncodeStatsReport(const FlowStatsReport& report) {
   Fields fields;
   fields["type"] = "stats_report";
-  fields["flow"] = FormatNumber(report.flow);
+  fields["flow"] = FormatExact(report.flow);
   fields["class"] = report.type == FlowType::kVideo ? "video" : "data";
-  fields["tx_bytes"] = FormatNumber(static_cast<double>(report.tx_bytes));
-  fields["rbs"] = FormatNumber(static_cast<double>(report.rbs));
+  fields["tx_bytes"] = FormatExact(static_cast<double>(report.tx_bytes));
+  fields["rbs"] = FormatExact(static_cast<double>(report.rbs));
   fields["tput"] = FormatNumber(report.throughput_bps);
   fields["rb_util"] = FormatNumber(report.rb_utilization);
   return Join(fields);

@@ -27,12 +27,14 @@ EpollLoop::~EpollLoop() {
 
 void EpollLoop::Watch(int fd, std::uint32_t events, IoCallback callback) {
   if (!ok() || fd < 0) return;
+  const auto [it, added] = watches_.try_emplace(fd);
+  it->second.callback = std::move(callback);
+  if (!added && it->second.events == events) return;
   epoll_event ev{};
   ev.events = events;  // kReadable/kWritable/kError mirror EPOLL* values
   ev.data.fd = fd;
-  const bool known = watches_.count(fd) != 0;
-  epoll_ctl(epoll_fd_, known ? EPOLL_CTL_MOD : EPOLL_CTL_ADD, fd, &ev);
-  watches_[fd] = std::move(callback);
+  epoll_ctl(epoll_fd_, added ? EPOLL_CTL_ADD : EPOLL_CTL_MOD, fd, &ev);
+  it->second.events = events;
 }
 
 void EpollLoop::Unwatch(int fd) {
@@ -99,7 +101,7 @@ void EpollLoop::Run() {
       const auto it = watches_.find(fd);
       if (it == watches_.end()) continue;
       // Copy: the callback may Unwatch itself, destroying the map entry.
-      IoCallback cb = it->second;
+      IoCallback cb = it->second.callback;
       cb(ready[i].events);
     }
     RunPostedTasks();

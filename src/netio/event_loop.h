@@ -42,6 +42,8 @@ class EpollLoop {
 
   /// Register (or re-register with a new mask) a level-triggered watch.
   /// The callback runs on the loop thread; it may Unwatch its own fd.
+  /// Re-watching with the mask already registered swaps the callback
+  /// without a syscall.
   void Watch(int fd, std::uint32_t events, IoCallback callback);
   /// Drop the watch; safe for fds that were never watched. Does not
   /// close the fd — ownership stays with the caller.
@@ -63,7 +65,11 @@ class EpollLoop {
 
   int epoll_fd_ = -1;
   int wake_fd_ = -1;  // eventfd: Post()/Stop() wakeups
-  std::map<int, IoCallback> watches_;
+  struct WatchEntry {
+    std::uint32_t events = 0;  // mask registered with the kernel
+    IoCallback callback;
+  };
+  std::map<int, WatchEntry> watches_;
 
   std::mutex post_mu_;
   std::vector<std::function<void()>> posted_;

@@ -1,13 +1,21 @@
 // Discrete-event queue.
 //
-// Events at the same timestamp fire in scheduling order (a monotonically
-// increasing sequence number breaks ties), which keeps runs deterministic
-// regardless of heap internals.
+// Events fire in (time, sequence number) order: every push takes the next
+// value of a monotonically increasing counter, so events at the same
+// timestamp fire in scheduling order regardless of heap internals.
+//
+// The heap holds 16-byte POD keys; each names a slot in a slab of
+// callbacks, and freed slots are reused through a free list. The slot
+// number never decides the order, so reuse cannot reorder events. Once
+// warm, a push/run cycle allocates nothing beyond what the callable itself
+// needs. A one-shot callback is moved out of its slot before it runs and
+// destroyed right after, so its captured state is released as soon as it
+// has fired. A recurring event keeps its callable in a task table and is
+// re-pushed with a fresh sequence number after each run.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "util/time.h"
@@ -20,31 +28,54 @@ class EventQueue {
  public:
   void Push(SimTime at, EventFn fn);
 
+  /// Run `fn` at `at`, then every `period` after the previous run. Each
+  /// occurrence is re-pushed after `fn` returns, so an event `fn` pushes
+  /// for the instant of its next occurrence fires before that occurrence.
+  void PushEvery(SimTime at, SimTime period, EventFn fn);
+
   bool Empty() const { return heap_.empty(); }
   std::size_t Size() const { return heap_.size(); }
 
   /// Time of the earliest pending event; undefined when empty.
-  SimTime NextTime() const { return heap_.top().at; }
+  SimTime NextTime() const { return heap_.front().at; }
 
   /// Pops and runs the earliest event. Caller must check Empty() first.
+  /// The callback may push events but must not Clear() the queue.
   void RunNext();
 
+  /// Drops every pending event (recurring ones included), releasing the
+  /// callables, and restarts the sequence counter.
   void Clear();
 
  private:
-  struct Event {
+  /// A heap key: the time, then one word holding the sequence number in
+  /// its high bits above a tag naming the callback. Sequence numbers are
+  /// unique, so comparing the word compares them; the tag never decides.
+  struct Key {
     SimTime at;
-    std::uint64_t seq;
-    EventFn fn;
+    std::uint64_t seq_tag;
   };
+  /// Heap order: true when `a` fires after `b`.
   struct Later {
-    bool operator()(const Event& a, const Event& b) const {
+    bool operator()(const Key& a, const Key& b) const {
       if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
+      return a.seq_tag > b.seq_tag;
     }
   };
+  /// A tag is a slab slot, or kRecurring | an index into tasks_.
+  static constexpr int kTagBits = 24;
+  static constexpr std::uint32_t kRecurring = 1u << (kTagBits - 1);
+  struct Task {
+    EventFn fn;
+    SimTime period;
+  };
 
-  std::priority_queue<Event, std::vector<Event>, Later> heap_;
+  void PushKey(SimTime at, std::uint32_t tag);
+
+  std::vector<Key> heap_;
+  std::vector<EventFn> slots_;  // one-shot callbacks
+  std::vector<std::uint32_t> free_slots_;
+  std::vector<Task> tasks_;  // recurring callbacks, kept until Clear()
   std::uint64_t next_seq_ = 0;
 };
 

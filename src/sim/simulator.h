@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 #include "obs/metrics.h"
 #include "sim/event_queue.h"
@@ -29,8 +28,10 @@ class Simulator {
   /// Schedule `fn` after a relative delay (clamped to >= 0).
   void After(SimTime delay, EventFn fn);
 
-  /// Schedule `fn` every `period` starting at `start`, until the run ends.
-  /// The callback receives no arguments; use a lambda capture for state.
+  /// Schedule `fn` every `period` starting at `start` (clamped to
+  /// >= Now()), until the run ends. The callback receives no arguments;
+  /// use a lambda capture for state. The queue keeps one copy of `fn` for
+  /// all occurrences and releases it when the simulator is destroyed.
   void Every(SimTime start, SimTime period, EventFn fn);
 
   /// Run until the event queue drains or the clock passes `until`
@@ -48,12 +49,6 @@ class Simulator {
   void SetMetrics(MetricsRegistry* registry);
 
  private:
-  /// Reschedules the periodic `task` for `at`. Each queued occurrence owns
-  /// the task callable; nothing owns itself, so draining or clearing the
-  /// queue releases every recurring task (see sim_test's leak regression).
-  void ScheduleTick(SimTime at, SimTime period,
-                    std::shared_ptr<EventFn> task);
-
   EventQueue queue_;
   SimTime now_ = 0;
   bool stopped_ = false;

@@ -2,14 +2,59 @@
 // the RB & Rate Trace windows, and QoS updates at runtime.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
 #include <map>
+#include <memory>
+#include <new>
 
 #include "lte/cell.h"
-#include "lte/pf_scheduler.h"
+#include "lte/channel.h"
 #include "lte/gbr_scheduler.h"
+#include "lte/mobility.h"
+#include "lte/pf_scheduler.h"
+#include "lte/pss_scheduler.h"
 #include "lte/stats_reporter.h"
 #include "lte/tbs_table.h"
 #include "sim/simulator.h"
+
+// Counting global allocator for Cell.SteadyStateTtiDoesNotAllocate: every
+// operator new in this binary comes through here, and is counted while
+// g_count_allocations is set.
+namespace {
+std::atomic<bool> g_count_allocations{false};
+std::atomic<std::size_t> g_allocations{0};
+
+void* CountedAlloc(std::size_t size) noexcept {
+  if (g_count_allocations.load(std::memory_order_relaxed)) {
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+  }
+  return std::malloc(size == 0 ? 1 : size);
+}
+
+void* CountedAllocOrThrow(std::size_t size) {
+  void* p = CountedAlloc(size);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+}  // namespace
+
+void* operator new(std::size_t size) { return CountedAllocOrThrow(size); }
+void* operator new[](std::size_t size) { return CountedAllocOrThrow(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return CountedAlloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return CountedAlloc(size);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace flare {
 namespace {
@@ -286,6 +331,44 @@ TEST(Cell, RbConservationAcrossBusyRun) {
   f.sim.RunUntil(FromSeconds(1.0));
   EXPECT_LE(f.cell.total_rbs_used(), f.cell.ttis_elapsed() * 50u);
   EXPECT_GT(f.cell.total_rbs_used(), f.cell.ttis_elapsed() * 45u);
+}
+
+// The TTI loop is the simulator's hot path: once its working vectors and
+// the scheduler's scratch have reached their steady size, a TTI must not
+// touch the heap. Eight UEs on the faded channel (static placement, so
+// the channel memo is exercised), PSS with half the flows on a GBR (both
+// phases run), queues kept saturated by re-offering every delivered byte.
+TEST(Cell, SteadyStateTtiDoesNotAllocate) {
+  CellConfig config;
+  config.num_rbs = 25;
+  CellFixture f(std::make_unique<PssScheduler>(), config);
+  const RadioConfig radio;
+  Rng placement(7);
+  for (int i = 0; i < 8; ++i) {
+    auto mobility = std::make_shared<StaticMobility>(
+        RandomPositionInAnnulus(50.0, 900.0, placement));
+    const UeId ue = f.cell.AddUe(std::make_unique<FadedMobilityChannel>(
+        mobility, radio, Rng(static_cast<std::uint64_t>(100 + i))));
+    const FlowId flow = f.cell.AddFlow(ue, FlowType::kVideo);
+    if (i % 2 == 0) f.cell.SetGbr(flow, 500e3);
+    f.cell.Enqueue(flow, config.queue_limit_bytes);
+  }
+  f.cell.SetDeliveryCallback([&f](FlowId flow, std::uint64_t bytes, SimTime) {
+    f.cell.Enqueue(flow, bytes);
+  });
+  f.cell.Start();
+  f.sim.RunUntil(FromSeconds(1.0));  // warm-up
+
+  const std::uint64_t ttis_before = f.cell.ttis_elapsed();
+  const std::uint64_t rbs_before = f.cell.total_rbs_used();
+  g_allocations.store(0);
+  g_count_allocations.store(true);
+  f.sim.RunUntil(FromSeconds(3.0));
+  g_count_allocations.store(false);
+
+  EXPECT_EQ(f.cell.ttis_elapsed() - ttis_before, 2000u);
+  EXPECT_EQ(f.cell.total_rbs_used() - rbs_before, 2000u * 25u);  // saturated
+  EXPECT_EQ(g_allocations.load(), 0u);
 }
 
 }  // namespace

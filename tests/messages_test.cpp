@@ -150,6 +150,82 @@ TEST(Messages, StatsReportRoundTrip) {
   EXPECT_DOUBLE_EQ(decoded->rb_utilization, report.rb_utilization);
 }
 
+// Whole numbers above six significant digits used to go out in %.6g form
+// and come back rounded: flow 1000001 decoded as 1000000 (two clients on
+// one id), tx_bytes 2512345 as 2512340, rung 1234567 as 1234570.
+TEST(Messages, WholeNumberFieldsRoundTripExactly) {
+  ClientInfo info;
+  info.flow = 1000001;
+  info.ladder_bps = {250e3, 1234567.0, 9007199254740991.0};  // 2^53 - 1
+  info.max_level = 2000000001;
+  const auto client = DecodeClientInfo(EncodeClientInfo(info));
+  ASSERT_TRUE(client.has_value());
+  EXPECT_EQ(client->flow, 1000001u);
+  EXPECT_EQ(client->ladder_bps, info.ladder_bps);
+  EXPECT_EQ(client->max_level, 2000000001);
+
+  RateAssignmentMsg msg;
+  msg.flow = 4294967294u;  // largest valid flow id
+  msg.level = 1234567;
+  msg.rate_bps = 1234567.0;
+  msg.gbr_bps = 1358023.7;
+  const auto assignment = DecodeRateAssignment(EncodeRateAssignment(msg));
+  ASSERT_TRUE(assignment.has_value());
+  EXPECT_EQ(assignment->flow, msg.flow);
+  EXPECT_EQ(assignment->level, msg.level);
+  EXPECT_EQ(assignment->rate_bps, msg.rate_bps);
+
+  FlowStatsReport report;
+  report.flow = 1000001;
+  report.tx_bytes = 2512345;
+  report.rbs = 98765432;
+  const auto stats = DecodeStatsReport(EncodeStatsReport(report));
+  ASSERT_TRUE(stats.has_value());
+  EXPECT_EQ(stats->flow, report.flow);
+  EXPECT_EQ(stats->tx_bytes, report.tx_bytes);
+  EXPECT_EQ(stats->rbs, report.rbs);
+}
+
+// Values %.6g already printed exactly keep their bytes, so frames from
+// before the exact encoding and after it stay byte-identical.
+TEST(Messages, ShortWholeNumbersKeepTheirBytes) {
+  RateAssignmentMsg msg;
+  msg.flow = 1000000;
+  msg.level = 3;
+  msg.rate_bps = 2e6;
+  msg.gbr_bps = 2.2e6;
+  EXPECT_EQ(EncodeRateAssignment(msg),
+            "flow=1e+06;gbr=2.2e+06;level=3;rate=2e+06;type=rate_assignment");
+
+  FlowStatsReport report;
+  report.flow = 12;
+  report.tx_bytes = 2500000;
+  report.rbs = 999;
+  report.throughput_bps = 1234567.0;  // not a counter: stays %.6g
+  EXPECT_EQ(EncodeStatsReport(report),
+            "class=data;flow=12;rb_util=0;rbs=999;tput=1.23457e+06;"
+            "tx_bytes=2.5e+06;type=stats_report");
+
+  ClientInfo info;
+  info.flow = 1;
+  info.ladder_bps = {0.5, 100e3, 1234567.0};
+  EXPECT_EQ(EncodeClientInfo(info),
+            "flow=1;ladder=0.5,100000,1234567;type=client_info");
+}
+
+// A flow id just past a power of ten is a distinct client, not a
+// duplicate of the rounded id.
+TEST(Messages, DistinctLargeFlowIdsStayDistinct) {
+  for (FlowId flow : {1000000u, 1000001u, 1000002u}) {
+    ClientInfo info;
+    info.flow = flow;
+    info.ladder_bps = {100e3};
+    const auto decoded = DecodeClientInfo(EncodeClientInfo(info));
+    ASSERT_TRUE(decoded.has_value());
+    EXPECT_EQ(decoded->flow, flow);
+  }
+}
+
 TEST(Messages, StatsReportDataClass) {
   FlowStatsReport report;
   report.flow = 1;

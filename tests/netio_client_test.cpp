@@ -3,6 +3,8 @@
 // a server that resets the connection after the final byte must not
 // fail a response we already hold. Each test stands up a raw loopback
 // socket so the misbehaviour is exact — no HTTP server in the loop.
+// The EpollLoop test at the end pins the watch-table contract the
+// service's per-read interest updates rely on.
 #include "netio/http_client.h"
 
 #include <gtest/gtest.h>
@@ -15,8 +17,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
+#include <future>
 #include <string>
 #include <thread>
+
+#include "netio/event_loop.h"
 
 namespace flare {
 namespace {
@@ -190,6 +196,56 @@ TEST(NetioClientTest, ConnectionRefusedFailsFast) {
   const auto start = Clock::now();
   EXPECT_FALSE(HttpGet("127.0.0.1", 1, "/metrics", &response, 1000));
   EXPECT_LT(ElapsedMs(start), 1000.0);
+}
+
+// The service re-watches a session's fd with an unchanged mask after
+// every read. That re-watch skips the epoll_ctl syscall, but it must
+// still install the new callback and keep the fd armed.
+TEST(EpollLoopTest, RewatchWithSameMaskSwapsCallbackAndKeepsDelivering) {
+  int sv[2];
+  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0, sv), 0);
+  EpollLoop loop;
+  ASSERT_TRUE(loop.ok());
+  int stale_calls = 0;
+  int fresh_calls = 0;
+  loop.Watch(sv[0], EpollLoop::kReadable | EpollLoop::kError,
+             [&](std::uint32_t) {
+               ++stale_calls;
+               loop.Stop();
+             });
+  std::function<void(std::uint32_t)> fresh = [&](std::uint32_t events) {
+    EXPECT_NE(events & EpollLoop::kReadable, 0u);
+    char buf[16];
+    while (read(sv[0], buf, sizeof(buf)) > 0) {
+    }
+    if (++fresh_calls == 1) {
+      // Same mask again from inside the callback, as after a read.
+      loop.Watch(sv[0], EpollLoop::kReadable | EpollLoop::kError, fresh);
+      EXPECT_EQ(write(sv[1], "y", 1), 1);
+    } else {
+      loop.Stop();
+    }
+  };
+  loop.Watch(sv[0], EpollLoop::kReadable | EpollLoop::kError, fresh);
+  ASSERT_EQ(write(sv[1], "x", 1), 1);
+
+  // Guard: a lost event would block Run() forever.
+  std::promise<void> finished;
+  std::thread guard([&loop, done = finished.get_future()] {
+    if (done.wait_for(std::chrono::seconds(5)) ==
+        std::future_status::timeout) {
+      loop.Stop();
+    }
+  });
+  loop.Run();
+  finished.set_value();
+  guard.join();
+
+  EXPECT_EQ(stale_calls, 0);
+  EXPECT_EQ(fresh_calls, 2);
+  loop.Unwatch(sv[0]);
+  close(sv[0]);
+  close(sv[1]);
 }
 
 }  // namespace

@@ -30,6 +30,15 @@
 namespace flare {
 namespace {
 
+/// One Allocate call into a fresh grants vector.
+std::vector<SchedGrant> Grants(Scheduler& sched,
+                               std::vector<SchedCandidate>& candidates,
+                               int n_rbs, Rng& rng) {
+  std::vector<SchedGrant> grants;
+  sched.Allocate(candidates, n_rbs, rng, grants);
+  return grants;
+}
+
 struct SchedulerCase {
   const char* name;
   std::unique_ptr<Scheduler> (*make)();
@@ -54,7 +63,7 @@ class SchedulerConformanceTest
                               std::vector<SchedCandidate> candidates,
                               int n_rbs, Rng& rng,
                               const std::string& context) {
-    const auto grants = sched.Allocate(candidates, n_rbs, rng);
+    const auto grants = Grants(sched, candidates, n_rbs, rng);
 
     int total_rbs = 0;
     std::map<FlowId, int> appearances;
@@ -137,7 +146,7 @@ TEST_P(SchedulerConformanceTest, DegenerateInputs) {
   Rng rng(5);
 
   std::vector<SchedCandidate> empty;
-  EXPECT_TRUE(sched->Allocate(empty, 50, rng).empty());
+  EXPECT_TRUE(Grants(*sched, empty, 50, rng).empty());
 
   FlowState s;
   s.id = 1;
@@ -150,7 +159,7 @@ TEST_P(SchedulerConformanceTest, DegenerateInputs) {
   c.max_bytes = 10'000;
 
   std::vector<SchedCandidate> one{c};
-  EXPECT_TRUE(sched->Allocate(one, /*n_rbs=*/0, rng).empty());
+  EXPECT_TRUE(Grants(*sched, one, /*n_rbs=*/0, rng).empty());
 
   // A flow with nothing to send must not receive RBs.
   one[0].max_bytes = 0;
@@ -193,7 +202,7 @@ TEST_P(SchedulerConformanceTest, GbrBackloggedFlowIsServed) {
   }
 
   auto copy = candidates;
-  const auto grants = sched->Allocate(copy, 50, rng);
+  const auto grants = Grants(*sched, copy, 50, rng);
   if (param.make()->Name() == "two-phase-gbr") {
     bool gbr_served = false;
     for (const SchedGrant& g : grants) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
+#include <vector>
 
 #include "lte/gbr_scheduler.h"
 #include "lte/pf_scheduler.h"
@@ -11,6 +13,20 @@
 
 namespace flare {
 namespace {
+
+/// One Allocate call into a fresh grants vector.
+std::vector<SchedGrant> Grants(Scheduler& sched,
+                               std::vector<SchedCandidate>& candidates,
+                               int n_rbs, Rng& rng) {
+  std::vector<SchedGrant> grants;
+  sched.Allocate(candidates, n_rbs, rng, grants);
+  return grants;
+}
+std::vector<SchedGrant> Grants(Scheduler&& sched,
+                               std::vector<SchedCandidate>& candidates,
+                               int n_rbs, Rng& rng) {
+  return Grants(sched, candidates, n_rbs, rng);
+}
 
 struct TestFlows {
   std::vector<FlowState> states;
@@ -63,7 +79,7 @@ TEST(PfScheduler, NeverExceedsRbBudget) {
   PfScheduler sched;
   Rng rng(1);
   auto f = MakeFlows(4);
-  const auto grants = sched.Allocate(f.candidates, 50, rng);
+  const auto grants = Grants(sched, f.candidates, 50, rng);
   EXPECT_LE(TotalRbs(grants), 50);
   EXPECT_EQ(TotalRbs(grants), 50);  // demand is ample, budget fully used
 }
@@ -72,7 +88,7 @@ TEST(PfScheduler, RespectsMaxBytes) {
   PfScheduler sched;
   Rng rng(1);
   auto f = MakeFlows(2, 100, 250);  // only 250 bytes allowed each
-  const auto grants = sched.Allocate(f.candidates, 50, rng);
+  const auto grants = Grants(sched, f.candidates, 50, rng);
   const auto bytes = BytesByFlow(grants);
   for (const auto& [id, b] : bytes) EXPECT_LE(b, 250u);
   // 3 RBs each (ceil(250/100)), so 6 RBs total.
@@ -85,7 +101,7 @@ TEST(PfScheduler, PrefersHigherMetric) {
   auto f = MakeFlows(2, 100, 400);
   f.states[0].pf_avg_bps = 1e6;  // well-served flow
   f.states[1].pf_avg_bps = 1e3;  // starved flow: much higher metric
-  const auto grants = sched.Allocate(f.candidates, 4, rng);
+  const auto grants = Grants(sched, f.candidates, 4, rng);
   const auto bytes = BytesByFlow(grants);
   EXPECT_EQ(bytes.at(2), 400u);  // starved flow served first, fully
   EXPECT_EQ(bytes.count(1), 0u);
@@ -100,7 +116,7 @@ TEST(PfScheduler, FairOverManyTtisWithEwma) {
   std::map<FlowId, double> total;
   for (int tti = 0; tti < 2000; ++tti) {
     for (auto& c : f.candidates) c.max_bytes = 5'000;
-    const auto grants = sched.Allocate(f.candidates, 50, rng);
+    const auto grants = Grants(sched, f.candidates, 50, rng);
     std::map<FlowId, std::uint64_t> served = BytesByFlow(grants);
     for (FlowState& s : f.states) {
       const double rate = served.count(s.id) > 0
@@ -125,7 +141,7 @@ TEST(PfScheduler, ProportionalFairFavoursGoodChannelProportionally) {
   std::map<FlowId, double> bytes_total;
   std::map<FlowId, double> rbs_total;
   for (int tti = 0; tti < 4000; ++tti) {
-    const auto grants = sched.Allocate(f.candidates, 50, rng);
+    const auto grants = Grants(sched, f.candidates, 50, rng);
     for (const SchedGrant& g : grants) {
       bytes_total[g.flow->id] += static_cast<double>(g.bytes);
       rbs_total[g.flow->id] += g.rbs;
@@ -147,7 +163,7 @@ TEST(RoundRobin, SplitsEvenlyWithEqualDemand) {
   RoundRobinScheduler sched;
   Rng rng(1);
   auto f = MakeFlows(5, 100);
-  const auto grants = sched.Allocate(f.candidates, 50, rng);
+  const auto grants = Grants(sched, f.candidates, 50, rng);
   const auto bytes = BytesByFlow(grants);
   for (const auto& [id, b] : bytes) EXPECT_EQ(b, 1000u);  // 10 RBs each
 }
@@ -159,7 +175,7 @@ TEST(RoundRobin, RotatesStartAcrossTtis) {
   // 1 RB per TTI: the single grant should rotate across flows.
   std::map<FlowId, int> wins;
   for (int tti = 0; tti < 9; ++tti) {
-    const auto grants = sched.Allocate(f.candidates, 1, rng);
+    const auto grants = Grants(sched, f.candidates, 1, rng);
     ASSERT_EQ(grants.size(), 1u);
     ++wins[grants[0].flow->id];
   }
@@ -177,7 +193,7 @@ TEST(PssScheduler, GbrFlowsServedFirst) {
   f.states[0].gbr_credit_bytes = 2000.0;
   f.states[1].pf_avg_bps = 1.0;
   f.states[2].pf_avg_bps = 1.0;
-  const auto grants = sched.Allocate(f.candidates, 25, rng);
+  const auto grants = Grants(sched, f.candidates, 25, rng);
   const auto bytes = BytesByFlow(grants);
   EXPECT_GE(bytes.at(1), 2000u);  // GBR debt fully covered first
 }
@@ -188,7 +204,7 @@ TEST(PssScheduler, GbrDebtCapsPhase1Service) {
   auto f = MakeFlows(1, 100);
   f.states[0].gbr_bps = 1e6;
   f.states[0].gbr_credit_bytes = 300.0;  // only 3 RBs owed
-  const auto grants = sched.Allocate(f.candidates, 50, rng);
+  const auto grants = Grants(sched, f.candidates, 50, rng);
   // Phase 1 grants 3 RBs; phase 2 (PF) then fills the rest since the
   // queue still has data.
   EXPECT_EQ(TotalRbs(grants), 50);
@@ -205,8 +221,8 @@ TEST(PssScheduler, WithoutGbrDegeneratesToPf) {
     f1.states[static_cast<std::size_t>(i)].pf_avg_bps = 100.0 * (i + 1);
     f2.states[static_cast<std::size_t>(i)].pf_avg_bps = 100.0 * (i + 1);
   }
-  const auto a = BytesByFlow(pss.Allocate(f1.candidates, 50, rng1));
-  const auto b = BytesByFlow(pf.Allocate(f2.candidates, 50, rng2));
+  const auto a = BytesByFlow(Grants(pss, f1.candidates, 50, rng1));
+  const auto b = BytesByFlow(Grants(pf, f2.candidates, 50, rng2));
   EXPECT_EQ(a, b);
 }
 
@@ -220,7 +236,7 @@ TEST(TwoPhaseGbr, VideoGbrBeatsDataEvenWhenStarved) {
   f.states[0].pf_avg_bps = 1e9;  // video "over-served" by PF standards
   f.states[1].type = FlowType::kData;
   f.states[1].pf_avg_bps = 1.0;  // data maximally starved
-  const auto grants = sched.Allocate(f.candidates, 50, rng);
+  const auto grants = Grants(sched, f.candidates, 50, rng);
   const auto bytes = BytesByFlow(grants);
   EXPECT_GE(bytes.at(1), 4000u);  // GBR served despite PF disadvantage
   EXPECT_GT(bytes.at(2), 0u);     // leftover RBs go to data in phase 2
@@ -238,7 +254,7 @@ TEST(TwoPhaseGbr, DataGbrDoesNotGetPhase1) {
   f.states[0].pf_avg_bps = 1e9;
   f.states[1].type = FlowType::kVideo;
   f.states[1].pf_avg_bps = 1.0;
-  const auto grants = sched.Allocate(f.candidates, 10, rng);
+  const auto grants = Grants(sched, f.candidates, 10, rng);
   const auto bytes = BytesByFlow(grants);
   // Without phase-1 priority the PF pass serves the starved video flow.
   EXPECT_GT(bytes.at(2), 0u);
@@ -256,7 +272,7 @@ TEST(TwoPhaseGbr, MultipleVideoFlowsMostStarvedFirst) {
   f.states[0].gbr_credit_bytes = 500.0;
   f.states[1].gbr_credit_bytes = 2000.0;
   // Only 5 RBs: the flow with the larger debt wins them all.
-  const auto grants = sched.Allocate(f.candidates, 5, rng);
+  const auto grants = Grants(sched, f.candidates, 5, rng);
   const auto bytes = BytesByFlow(grants);
   EXPECT_EQ(bytes.at(2), 500u);
   EXPECT_EQ(bytes.count(1), 0u);
@@ -268,7 +284,7 @@ TEST(TwoPhaseGbr, VideoOnlyPhase2ExcludesData) {
   auto f = MakeFlows(2, 100);
   f.states[0].type = FlowType::kVideo;
   f.states[1].type = FlowType::kData;
-  const auto grants = sched.Allocate(f.candidates, 50, rng);
+  const auto grants = Grants(sched, f.candidates, 50, rng);
   const auto bytes = BytesByFlow(grants);
   EXPECT_GT(bytes.at(1), 0u);
   EXPECT_EQ(bytes.count(2), 0u);
@@ -286,7 +302,7 @@ TEST(TwoPhaseGbr, OneGrantPerFlowAcrossPhases) {
   f.states[0].gbr_bps = 1e6;
   f.states[0].gbr_credit_bytes = 300.0;  // 3 RBs owed, 47 left over
   f.states[1].type = FlowType::kData;
-  const auto grants = sched.Allocate(f.candidates, 50, rng);
+  const auto grants = Grants(sched, f.candidates, 50, rng);
   std::map<FlowId, int> multiplicity;
   for (const SchedGrant& g : grants) ++multiplicity[g.flow->id];
   for (const auto& [id, n] : multiplicity) {
@@ -309,7 +325,7 @@ TEST(TwoPhaseGbr, BorrowingNeverExceedsMaxBytesOrBudget) {
     s.gbr_bps = 1e6;
     s.gbr_credit_bytes = 500.0;
   }
-  const auto grants = sched.Allocate(f.candidates, 50, rng);
+  const auto grants = Grants(sched, f.candidates, 50, rng);
   std::map<FlowId, int> multiplicity;
   for (const SchedGrant& g : grants) ++multiplicity[g.flow->id];
   for (const auto& [id, n] : multiplicity) EXPECT_EQ(n, 1);
@@ -334,7 +350,7 @@ TEST(AllSchedulers, OneGrantPerFlowEverywhere) {
     f.states[0].type = FlowType::kVideo;
     f.states[0].gbr_bps = 1e6;
     f.states[0].gbr_credit_bytes = 200.0;
-    const auto grants = sched->Allocate(f.candidates, 50, rng);
+    const auto grants = Grants(*sched, f.candidates, 50, rng);
     std::map<FlowId, int> multiplicity;
     for (const SchedGrant& g : grants) ++multiplicity[g.flow->id];
     for (const auto& [id, n] : multiplicity) {
@@ -346,18 +362,59 @@ TEST(AllSchedulers, OneGrantPerFlowEverywhere) {
 TEST(AllSchedulers, EmptyCandidatesYieldNoGrants) {
   std::vector<SchedCandidate> empty;
   Rng rng(1);
-  EXPECT_TRUE(PfScheduler{}.Allocate(empty, 50, rng).empty());
-  EXPECT_TRUE(PssScheduler{}.Allocate(empty, 50, rng).empty());
-  EXPECT_TRUE(TwoPhaseGbrScheduler{}.Allocate(empty, 50, rng).empty());
-  EXPECT_TRUE(RoundRobinScheduler{}.Allocate(empty, 50, rng).empty());
+  EXPECT_TRUE(Grants(PfScheduler{}, empty, 50, rng).empty());
+  EXPECT_TRUE(Grants(PssScheduler{}, empty, 50, rng).empty());
+  EXPECT_TRUE(Grants(TwoPhaseGbrScheduler{}, empty, 50, rng).empty());
+  EXPECT_TRUE(Grants(RoundRobinScheduler{}, empty, 50, rng).empty());
 }
 
 TEST(AllSchedulers, ZeroRbsYieldNoGrants) {
   Rng rng(1);
   auto f = MakeFlows(3);
-  EXPECT_TRUE(PfScheduler{}.Allocate(f.candidates, 0, rng).empty());
-  EXPECT_TRUE(PssScheduler{}.Allocate(f.candidates, 0, rng).empty());
-  EXPECT_TRUE(TwoPhaseGbrScheduler{}.Allocate(f.candidates, 0, rng).empty());
+  EXPECT_TRUE(Grants(PfScheduler{}, f.candidates, 0, rng).empty());
+  EXPECT_TRUE(Grants(PssScheduler{}, f.candidates, 0, rng).empty());
+  EXPECT_TRUE(Grants(TwoPhaseGbrScheduler{}, f.candidates, 0, rng).empty());
+}
+
+// Allocate replaces the caller's grants vector. Reusing one vector across
+// TTIs of changing size (with stale grants left in it) must give exactly
+// what fresh vectors give, for every scheduler.
+TEST(AllSchedulers, ReusedGrantsVectorMatchesFreshVectors) {
+  const auto make = [](int which) -> std::unique_ptr<Scheduler> {
+    switch (which) {
+      case 0: return std::make_unique<PfScheduler>();
+      case 1: return std::make_unique<PssScheduler>();
+      case 2: return std::make_unique<TwoPhaseGbrScheduler>();
+      default: return std::make_unique<RoundRobinScheduler>();
+    }
+  };
+  for (int which = 0; which < 4; ++which) {
+    auto reused_sched = make(which);
+    auto fresh_sched = make(which);
+    Rng rng(3);
+    std::vector<SchedGrant> reused(5, SchedGrant{nullptr, 7, 7});  // stale
+    for (int tti = 0; tti < 12; ++tti) {
+      const int n = 1 + (tti * 5) % 7;  // 1..7 flows, shrinking and growing
+      auto f = MakeFlows(n, 60 + 10 * static_cast<std::uint32_t>(tti % 3),
+                         400 + 300 * static_cast<std::uint64_t>(tti % 4));
+      for (int i = 0; i < n; i += 2) {
+        FlowState& s = f.states[static_cast<std::size_t>(i)];
+        s.type = FlowType::kVideo;
+        s.gbr_bps = 1e6;
+        s.gbr_credit_bytes = 150.0 * (i + 1);
+        s.pf_avg_bps = 1e5 * (i + 1);
+      }
+      const int n_rbs = tti == 5 ? 0 : 20;
+      reused_sched->Allocate(f.candidates, n_rbs, rng, reused);
+      const auto fresh = Grants(*fresh_sched, f.candidates, n_rbs, rng);
+      ASSERT_EQ(reused.size(), fresh.size()) << which << " tti " << tti;
+      for (std::size_t g = 0; g < fresh.size(); ++g) {
+        EXPECT_EQ(reused[g].flow, fresh[g].flow) << which << " tti " << tti;
+        EXPECT_EQ(reused[g].rbs, fresh[g].rbs) << which << " tti " << tti;
+        EXPECT_EQ(reused[g].bytes, fresh[g].bytes) << which << " tti " << tti;
+      }
+    }
+  }
 }
 
 // Property sweep: RB conservation and byte-vs-RB consistency across
@@ -387,7 +444,7 @@ TEST_P(SchedulerProperty, ConservationHolds) {
     f.states[static_cast<std::size_t>(i)].gbr_bps = 5e5;
     f.states[static_cast<std::size_t>(i)].gbr_credit_bytes = 400.0;
   }
-  const auto grants = sched->Allocate(f.candidates, n_rbs, rng);
+  const auto grants = Grants(*sched, f.candidates, n_rbs, rng);
   EXPECT_LE(TotalRbs(grants), n_rbs);
   const auto bytes = BytesByFlow(grants);
   for (const auto& [id, b] : bytes) {

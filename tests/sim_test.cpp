@@ -2,11 +2,14 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
 #include "sim/event_queue.h"
 #include "sim/simulator.h"
+#include "util/rng.h"
 
 namespace flare {
 namespace {
@@ -48,6 +51,91 @@ TEST(EventQueue, ClearEmptiesQueue) {
   q.Push(2, [] {});
   q.Clear();
   EXPECT_TRUE(q.Empty());
+}
+
+// Slots are recycled through a free list, so after heavy churn a later
+// event often sits in a lower slot than an earlier one. Order must still
+// be (time, push order): checked against a reference set over ~10^5
+// interleaved pushes and pops with many ties.
+TEST(EventQueue, TiesStayFifoAcrossHeavySlotReuse) {
+  EventQueue q;
+  Rng rng(11);
+  std::set<std::pair<SimTime, int>> pending;  // (at, push index)
+  std::pair<SimTime, int> fired{-1, -1};
+  int pushes = 0;
+  int pops = 0;
+  for (int op = 0; op < 100'000; ++op) {
+    if (pending.empty() || rng.Uniform() < 0.55) {
+      const SimTime at = static_cast<SimTime>(rng.UniformInt(0, 7));
+      const int index = pushes++;
+      pending.emplace(at, index);
+      q.Push(at, [&fired, at, index] { fired = {at, index}; });
+    } else {
+      ASSERT_EQ(q.NextTime(), pending.begin()->first);
+      q.RunNext();
+      ASSERT_EQ(fired, *pending.begin()) << "pop " << pops;
+      pending.erase(pending.begin());
+      ++pops;
+    }
+    ASSERT_EQ(q.Size(), pending.size());
+  }
+  EXPECT_GT(pops, 40'000);
+}
+
+TEST(EventQueue, RunEventReleasesItsCaptureRightAway) {
+  EventQueue q;
+  auto payload = std::make_shared<int>(0);
+  std::weak_ptr<int> watch = payload;
+  q.Push(1, [payload] { ++*payload; });
+  q.Push(2, [&watch] { EXPECT_TRUE(watch.expired()); });
+  payload.reset();
+  EXPECT_FALSE(watch.expired());  // queued: the queue holds it
+  q.RunNext();
+  EXPECT_TRUE(watch.expired());  // ran: released before the next event
+  q.RunNext();
+}
+
+TEST(EventQueue, ClearAndDestructionReleaseCaptures) {
+  auto cleared = std::make_shared<int>(0);
+  auto destroyed = std::make_shared<int>(0);
+  std::weak_ptr<int> watch_cleared = cleared;
+  std::weak_ptr<int> watch_destroyed = destroyed;
+  {
+    EventQueue q;
+    q.Push(1, [cleared] {});
+    q.PushEvery(1, 5, [cleared] {});
+    cleared.reset();
+    q.Clear();
+    EXPECT_TRUE(watch_cleared.expired());
+    EXPECT_TRUE(q.Empty());
+
+    q.Push(1, [destroyed] {});
+    q.PushEvery(2, 5, [destroyed] {});
+    destroyed.reset();
+    q.RunNext();  // the one-shot goes, the recurring one stays
+    q.RunNext();
+    EXPECT_FALSE(watch_destroyed.expired());
+  }
+  EXPECT_TRUE(watch_destroyed.expired());
+}
+
+// A recurring event is re-pushed after its callback returns, so an event
+// the callback schedules for the next occurrence's instant fires first.
+TEST(EventQueue, RecurringEventRequeuesAfterItsCallback) {
+  EventQueue q;
+  std::vector<int> order;
+  SimTime now = 0;
+  q.PushEvery(10, 10, [&] {
+    order.push_back(1);
+    if (now == 10) q.Push(20, [&] { order.push_back(2); });
+  });
+  for (int i = 0; i < 3; ++i) {
+    now = q.NextTime();
+    q.RunNext();
+  }
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 1}));
+  EXPECT_EQ(q.Size(), 1u);
+  EXPECT_EQ(q.NextTime(), 30);
 }
 
 TEST(Simulator, ClockAdvancesToEventTimes) {

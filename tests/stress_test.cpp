@@ -26,6 +26,7 @@ TEST(SchedulerFuzz, RandomInputsNeverViolateInvariants) {
   TwoPhaseGbrScheduler two_phase;
   RoundRobinScheduler rr;
   Scheduler* schedulers[] = {&pf, &pss, &two_phase, &rr};
+  std::vector<SchedGrant> grants;
 
   for (int trial = 0; trial < 400; ++trial) {
     const int n = static_cast<int>(rng.UniformInt(0, 24));
@@ -48,7 +49,7 @@ TEST(SchedulerFuzz, RandomInputsNeverViolateInvariants) {
 
     for (Scheduler* sched : schedulers) {
       auto cands = candidates;  // schedulers may reorder their copy
-      const auto grants = sched->Allocate(cands, n_rbs, rng);
+      sched->Allocate(cands, n_rbs, rng, grants);  // reused across calls
       int rbs = 0;
       std::map<FlowId, std::uint64_t> bytes;
       for (const SchedGrant& g : grants) {
