@@ -14,7 +14,6 @@
 #include "core/optimizer.h"
 #include "core/rate_controller.h"
 #include "has/mpd.h"
-#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/span_trace.h"
 #include "obs/telemetry_publisher.h"
@@ -202,31 +201,32 @@ void BM_ObsOverhead(benchmark::State& state) {
 }
 BENCHMARK(BM_ObsOverhead)->Arg(0)->Arg(1);
 
-// Flight-recorder record site, disabled (Arg 0) vs live (Arg 1). The
-// disabled path must be one predicted null check — the recorder rides in
-// Player/OneApiServer hot paths, so "off" has to cost nothing (the
-// acceptance bar is <= ~10 ns/event; a null check is well under 1 ns).
-// The enabled path is bounded by construction: the ring overwrites.
-void BM_FlightRecorderOverhead(benchmark::State& state) {
+// The instant record site on a bounded tracer (flight window only),
+// disabled (Arg 0) vs live (Arg 1). The disabled path must be one
+// predicted null check — instants ride in Player/OneApiServer hot paths,
+// so "off" has to cost nothing (the acceptance bar is <= ~10 ns/event; a
+// null check is well under 1 ns). The enabled path is bounded by
+// construction: the window overwrites and no timeline grows.
+void BM_InstantOverhead(benchmark::State& state) {
   const bool enabled = state.range(0) != 0;
-  FlightRecorder recorder(512);
-  FlightRecorder* flight = enabled ? &recorder : nullptr;
-  double t_s = 0.0;
+  SpanTracer bounded(512, /*timeline=*/false);
+  SpanTracer* tracer = enabled ? &bounded : nullptr;
+  double ts_us = 0.0;
   for (auto _ : state) {
-    t_s += 0.1;
-    if (flight != nullptr) {
-      flight->Record(t_s, "rung_change", 7, -1, 3.0,
-                     "{\"from\":2,\"to\":3}");
+    ts_us += 1e5;
+    if (tracer != nullptr) {
+      tracer->Instant(kLaneControl, "decision", "rung_change", ts_us,
+                      "{\"from\":2,\"to\":3}", 7, -1, 3.0);
     }
-    benchmark::DoNotOptimize(t_s);
+    benchmark::DoNotOptimize(ts_us);
     benchmark::ClobberMemory();
   }
 }
-BENCHMARK(BM_FlightRecorderOverhead)->Arg(0)->Arg(1);
+BENCHMARK(BM_InstantOverhead)->Arg(0)->Arg(1);
 
 // Telemetry publish hook as it sits in the epoch-barrier / BAI path.
 // Arg 0: no server attached — MaybePublish must be one predicted null
-// check (same order as the disabled flight-recorder site, ~2.5 ns incl.
+// check (same order as the disabled instant site, ~2.5 ns incl.
 // loop scaffolding). Arg 1: server attached but the interval not due —
 // adds one steady_clock read, still far below a barrier. Neither arm may
 // allocate or lock. Exported as obs.telemetry.disabled_hook_ns and gated
@@ -262,7 +262,7 @@ void BM_RequestTraceOverhead(benchmark::State& state) {
   std::mutex registry_mu;
   RequestTracerOptions options;
   options.max_events = 65536;  // bound the enabled arm's memory
-  RequestTracer live(&registry, &registry_mu, nullptr, options);
+  RequestTracer live(&registry, &registry_mu, options);
   RequestTracer* tracer = enabled ? &live : nullptr;
   std::uint64_t watermark = 0;
   std::uint64_t seq = 0;

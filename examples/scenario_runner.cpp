@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "obs/bai_trace.h"
-#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/qoe_analytics.h"
 #include "obs/span_trace.h"
@@ -127,10 +126,10 @@ Output keys:
                      startup delay, QoE score) as CSV (first run)
   trace_json=PATH    causal span trace, Chrome trace-event JSON; open in
                      https://ui.perfetto.dev (first run)
-  flight_recorder=N  keep the last N structured events per cell in a
-                     black-box ring buffer (0 = off; default capacity
-                     512 when postmortem_json is set)
-  postmortem_json=PATH dump the flight recorder here on the first
+  flight_recorder=N  keep the last N structured events (instants) per
+                     cell in the event log's flight window (0 = off;
+                     default window 512 when postmortem_json is set)
+  postmortem_json=PATH dump the flight window here on the first
                      watchdog alarm, on a fail_on_unhealthy exit, or on
                      a fatal signal
   fail_on_unhealthy=0|1  exit 2 if run-health watchdogs fired (0)
@@ -138,7 +137,7 @@ Live telemetry keys:
   telemetry_port=N   serve GET /metrics (OpenMetrics), /healthz (JSON)
                      and /events (NDJSON tail) on 127.0.0.1:N while the
                      run executes; 0 picks an ephemeral port (printed).
-                     Attaches metrics/QoE/health/flight observers
+                     Attaches metrics/QoE/health/event-log observers
                      automatically; run bytes stay identical to a
                      telemetry-off run (off)
   telemetry_interval_ms=F  wall-clock publish period (1000)
@@ -151,12 +150,11 @@ bool KnownKey(const std::string& key) {
          std::end(kKnownKeys);
 }
 
-/// Span-trace export, run-health verdict, and black-box dump, shared by
-/// the single- and multi-cell paths. Returns the process exit code.
+/// Span-trace export, run-health verdict, and flight dump, shared by the
+/// single- and multi-cell paths. Returns the process exit code.
 int FinishObservability(const std::optional<std::string>& trace_json,
                         const SpanTracer& spans, bool fail_on_unhealthy,
                         const RunHealthMonitor& health,
-                        const FlightRecorder* flight,
                         const std::optional<std::string>& postmortem_json) {
   if (trace_json) {
     if (spans.ExportJson(*trace_json)) {
@@ -168,12 +166,10 @@ int FinishObservability(const std::optional<std::string>& trace_json,
     }
   }
   const bool unhealthy_abort = fail_on_unhealthy && !health.healthy();
-  if (postmortem_json && flight != nullptr &&
-      (flight->triggered() || unhealthy_abort)) {
-    const std::string reason = flight->triggered()
-                                   ? flight->trigger_reason()
-                                   : "fail_on_unhealthy";
-    if (flight->DumpPostmortem(*postmortem_json, reason)) {
+  if (postmortem_json && (spans.triggered() || unhealthy_abort)) {
+    const std::string reason =
+        spans.triggered() ? spans.trigger_reason() : "fail_on_unhealthy";
+    if (spans.DumpPostmortem(*postmortem_json, reason)) {
       std::printf("flight-recorder postmortem (%s) written to %s\n",
                   reason.c_str(), postmortem_json->c_str());
     } else {
@@ -396,19 +392,20 @@ int main(int argc, char** argv) {
   const auto trace_json = args.GetString("trace_json");
   const auto qoe_csv = args.GetString("qoe_csv");
   const auto postmortem_json = args.GetString("postmortem_json");
-  const int flight_capacity = args.GetInt("flight_recorder", 0);
+  const int flight_window = args.GetInt("flight_recorder", 0);
   const bool fail_on_unhealthy = args.GetBool("fail_on_unhealthy", false);
   MetricsRegistry registry;
   BaiTraceSink trace;
-  SpanTracer spans;
+  // One event log: the Perfetto timeline only when trace_json is set,
+  // the flight window of recent instants always.
+  SpanTracer spans(flight_window > 0 ? static_cast<std::size_t>(flight_window)
+                                     : SpanTracer::kDefaultFlightWindow,
+                   /*timeline=*/trace_json.has_value());
   RunHealthMonitor health;
   QoeAnalytics qoe;
-  FlightRecorder flight(flight_capacity > 0
-                            ? static_cast<std::size_t>(flight_capacity)
-                            : FlightRecorder::kDefaultCapacity);
   // Live telemetry plane: telemetry_port= starts the background scrape
   // server and implies the observers it serves from (registry, QoE,
-  // health, flight), even without end-of-run export paths.
+  // health, event log), even without end-of-run export paths.
   const auto telemetry_port = args.GetString("telemetry_port");
   TelemetryServer::Options telemetry_opts;
   telemetry_opts.port =
@@ -433,19 +430,18 @@ int main(int argc, char** argv) {
     config.bai_trace = &trace;
   }
   if (telemetry && !config.metrics) config.metrics = &registry;
-  if (trace_json) config.span_trace = &spans;
+  if (trace_json || flight_window > 0 || postmortem_json || telemetry) {
+    config.span_trace = &spans;
+  }
   if (trace_json || metrics_json || fail_on_unhealthy || postmortem_json ||
       telemetry) {
     config.health = &health;
   }
   if (metrics_json || qoe_csv || telemetry) config.qoe = &qoe;
-  if (flight_capacity > 0 || postmortem_json || telemetry) {
-    config.flight = &flight;
-  }
   if (postmortem_json) {
-    // Fatal signals (SIGSEGV/SIGABRT/SIGFPE) dump the black box before
-    // re-raising, so even a crash leaves the last events on disk.
-    InstallFatalSignalPostmortem(&flight, *postmortem_json);
+    // Fatal signals (SIGSEGV/SIGABRT/SIGFPE) dump the flight window
+    // before re-raising, so even a crash leaves the last events on disk.
+    InstallFatalSignalPostmortem(&spans, *postmortem_json);
   }
 
   std::printf("scenario_runner: %s on %s, %d video / %d data / %d "
@@ -467,7 +463,6 @@ int main(int argc, char** argv) {
     multi.span_trace = config.span_trace;
     multi.health = config.health;
     multi.qoe = config.qoe;
-    multi.flight = config.flight;
     multi.telemetry = config.telemetry;
     multi.telemetry_interval_ms = config.telemetry_interval_ms;
     multi.cell.telemetry = nullptr;  // published from the barrier hook
@@ -514,7 +509,7 @@ int main(int argc, char** argv) {
       }
     }
     return FinishObservability(trace_json, spans, fail_on_unhealthy,
-                               health, config.flight, postmortem_json);
+                               health, postmortem_json);
   }
 
   double rate = 0.0;
@@ -602,5 +597,5 @@ int main(int argc, char** argv) {
     }
   }
   return FinishObservability(trace_json, spans, fail_on_unhealthy, health,
-                             config.flight, postmortem_json);
+                             postmortem_json);
 }

@@ -6,14 +6,6 @@
 #include "util/csv.h"
 
 namespace flare {
-namespace {
-
-std::string ClientArgs(int client, double buffer_s) {
-  return "{\"client\":" + std::to_string(client) +
-         ",\"buffer_s\":" + FormatNumber(buffer_s) + "}";
-}
-
-}  // namespace
 
 VideoPlayer::VideoPlayer(const PlayerConfig& config) : config_(config) {}
 
@@ -42,15 +34,11 @@ void VideoPlayer::AdvanceTo(SimTime now) {
         // The buffer actually hit zero (elapsed - drained) seconds ago.
         const double underflow_s = ToSeconds(now) - (elapsed - drained);
         if (span_trace_ != nullptr) {
-          span_trace_->Instant(kLanePlayer, "player", "stall",
-                               underflow_s * 1e6,
-                               ClientArgs(span_client_, 0.0));
+          span_trace_->Instant(kLanePlayer, "player", "stall_begin",
+                               underflow_s * 1e6, {}, kInvalidFlow,
+                               span_client_);
         }
         if (qoe_ != nullptr) qoe_->OnStallBegin(qoe_session_, underflow_s);
-        if (flight_ != nullptr) {
-          flight_->Record(underflow_s, "stall_begin", kInvalidFlow,
-                          qoe_session_);
-        }
       }
       break;
     }
@@ -68,16 +56,16 @@ void VideoPlayer::OnSegment(double duration_s, double bitrate_bps,
     const double ts_us = static_cast<double>(now);
     span_trace_->Instant(
         kLanePlayer, "player", "segment", ts_us,
-        "{\"client\":" + std::to_string(span_client_) +
-            ",\"bitrate_kbps\":" + FormatNumber(bitrate_bps / 1000.0) +
-            ",\"buffer_s\":" + FormatNumber(buffer_s_) + "}");
+        "{\"bitrate_kbps\":" + FormatNumber(bitrate_bps / 1000.0) +
+            ",\"buffer_s\":" + FormatNumber(buffer_s_) + "}",
+        kInvalidFlow, span_client_);
     if (switched) {
       span_trace_->Instant(
           kLanePlayer, "player", "switch", ts_us,
-          "{\"client\":" + std::to_string(span_client_) +
-              ",\"from_kbps\":" +
+          "{\"from_kbps\":" +
               FormatNumber(segment_bitrates_.back() / 1000.0) +
-              ",\"to_kbps\":" + FormatNumber(bitrate_bps / 1000.0) + "}");
+              ",\"to_kbps\":" + FormatNumber(bitrate_bps / 1000.0) + "}",
+          kInvalidFlow, span_client_);
     }
   }
   segment_bitrates_.push_back(bitrate_bps);
@@ -87,23 +75,19 @@ void VideoPlayer::OnSegment(double duration_s, double bitrate_bps,
     state_ = State::kPlaying;
     if (span_trace_ != nullptr) {
       span_trace_->Instant(kLanePlayer, "player", "playout_start",
-                           static_cast<double>(now),
-                           ClientArgs(span_client_, buffer_s_));
+                           static_cast<double>(now), {}, kInvalidFlow,
+                           span_client_, buffer_s_);
     }
     if (qoe_ != nullptr) qoe_->OnPlayoutStart(qoe_session_, ToSeconds(now));
   } else if (state_ == State::kStalled &&
              buffer_s_ >= config_.resume_threshold_s) {
     state_ = State::kPlaying;
     if (span_trace_ != nullptr) {
-      span_trace_->Instant(kLanePlayer, "player", "resume",
-                           static_cast<double>(now),
-                           ClientArgs(span_client_, buffer_s_));
+      span_trace_->Instant(kLanePlayer, "player", "stall_end",
+                           static_cast<double>(now), {}, kInvalidFlow,
+                           span_client_, buffer_s_);
     }
     if (qoe_ != nullptr) qoe_->OnStallEnd(qoe_session_, ToSeconds(now));
-    if (flight_ != nullptr) {
-      flight_->Record(ToSeconds(now), "stall_end", kInvalidFlow,
-                      qoe_session_, buffer_s_);
-    }
   }
 }
 
@@ -120,10 +104,8 @@ void VideoPlayer::SetSpanTracer(SpanTracer* tracer, int client) {
   span_client_ = client;
 }
 
-void VideoPlayer::SetQoeAnalytics(QoeAnalytics* qoe, FlightRecorder* flight,
-                                  int session) {
+void VideoPlayer::SetQoeAnalytics(QoeAnalytics* qoe, int session) {
   qoe_ = qoe;
-  flight_ = flight;
   qoe_session_ = session;
 }
 

@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/qoe_analytics.h"
 #include "obs/span_trace.h"
@@ -63,19 +62,18 @@ class VideoPlayer {
   /// across players — counters aggregate cell-wide.
   void SetMetrics(MetricsRegistry* registry);
 
-  /// Attach a span tracer (null = detach): stall/resume/playout-start and
-  /// per-segment/switch instants on the player lane, tagged with
-  /// `client`. Stall instants are stamped at the exact underflow time
-  /// even though the lazy model detects them at the next event.
+  /// Attach a span tracer (null = detach): stall_begin/stall_end,
+  /// playout_start and per-segment/switch instants on the player lane,
+  /// tagged with `client`. Stall begins are stamped at the exact
+  /// underflow time even though the lazy model detects them at the next
+  /// event.
   void SetSpanTracer(SpanTracer* tracer, int client);
 
-  /// Attach the QoE/flight tier (either may be null): `qoe` receives the
-  /// session's segments, stall edges and playout start under id
-  /// `session`; `flight` records stall_begin/stall_end events. Stall
+  /// Attach the QoE engine (may be null): it receives the session's
+  /// segments, stall edges and playout start under id `session`. Stall
   /// begins use the same exact-underflow timestamps as the span tracer,
   /// so the engine's stall totals match rebuffer_time_s().
-  void SetQoeAnalytics(QoeAnalytics* qoe, FlightRecorder* flight,
-                       int session);
+  void SetQoeAnalytics(QoeAnalytics* qoe, int session);
 
  private:
   enum class State { kStartup, kPlaying, kStalled };
@@ -95,7 +93,6 @@ class VideoPlayer {
   SpanTracer* span_trace_ = nullptr;
   int span_client_ = -1;
   QoeAnalytics* qoe_ = nullptr;
-  FlightRecorder* flight_ = nullptr;
   int qoe_session_ = -1;
 };
 

@@ -178,7 +178,9 @@ void Cell::SetMetrics(MetricsRegistry* registry) {
 }
 
 void Cell::SetSpanTracer(SpanTracer* tracer) {
-  span_trace_ = tracer;
+  // The cell records only spans and counters: a bounded tracer is absent
+  // here, so its TTIs read no clock.
+  span_trace_ = TimelineOf(tracer);
   span_window_start_ = sim_.Now();
   span_window_wall_us_ = 0.0;
   span_window_ttis_ = 0;

@@ -134,7 +134,7 @@ class Cell {
   /// Attach a span tracer (null detaches): the TTI loop's wall-clock cost
   /// is aggregated over 1 s windows into "tti.window" spans on the MAC
   /// lane plus an RBs-used counter track — per-TTI events would be 1000x
-  /// the volume for no insight.
+  /// the volume for no insight. A bounded tracer (no timeline) detaches.
   void SetSpanTracer(SpanTracer* tracer);
   /// Emit the final partial span window (call once after the run).
   void FlushSpanWindow();

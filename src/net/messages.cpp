@@ -46,21 +46,16 @@ constexpr double kIntLimit = 2147483648.0;        // 2^31
 constexpr double kUint64Limit = 18446744073709551616.0;  // 2^64
 constexpr double kFlowLimit = static_cast<double>(kInvalidFlow);
 
-constexpr double kExactLimit = 9007199254740992.0;  // 2^53
-
-/// A number for the wire. Whole numbers below 2^53 (ids, rung indices,
-/// counters, ladder rungs) must decode back exactly: they keep the %.6g
-/// form when that is exact, so such frames stay byte-identical with
-/// peers that always send %.6g, and are written with all their digits
-/// otherwise. Other values keep the %.6g form.
+/// Every number on the wire decodes back to the double it encodes. The
+/// %.6g form is kept whenever it is exact, so such frames stay
+/// byte-identical with peers that always send %.6g; any other value is
+/// written with the 17 significant digits that always round-trip (whole
+/// numbers below 10^17 then print with all their digits).
 std::string FormatExact(double value) {
   std::string text = FormatNumber(value);
-  if (std::trunc(value) != value || std::fabs(value) >= kExactLimit ||
-      std::strtod(text.c_str(), nullptr) == value) {
-    return text;
-  }
+  if (std::strtod(text.c_str(), nullptr) == value) return text;
   char digits[32];
-  std::snprintf(digits, sizeof(digits), "%.0f", value);
+  std::snprintf(digits, sizeof(digits), "%.17g", value);
   return digits;
 }
 
@@ -122,8 +117,8 @@ std::string EncodeClientInfo(const ClientInfo& info) {
   fields["ladder"] = ladder.str();
   if (info.max_level) fields["max_level"] = FormatExact(*info.max_level);
   if (info.utility) {
-    fields["beta"] = FormatNumber(info.utility->beta);
-    fields["theta"] = FormatNumber(info.utility->theta_bps);
+    fields["beta"] = FormatExact(info.utility->beta);
+    fields["theta"] = FormatExact(info.utility->theta_bps);
   }
   if (info.skimming) fields["skimming"] = "1";
   return Join(fields);
@@ -167,7 +162,7 @@ std::string EncodeRateAssignment(const RateAssignmentMsg& msg) {
   fields["flow"] = FormatExact(msg.flow);
   fields["level"] = FormatExact(msg.level);
   fields["rate"] = FormatExact(msg.rate_bps);
-  fields["gbr"] = FormatNumber(msg.gbr_bps);
+  fields["gbr"] = FormatExact(msg.gbr_bps);
   return Join(fields);
 }
 
@@ -198,8 +193,8 @@ std::string EncodeStatsReport(const FlowStatsReport& report) {
   fields["class"] = report.type == FlowType::kVideo ? "video" : "data";
   fields["tx_bytes"] = FormatExact(static_cast<double>(report.tx_bytes));
   fields["rbs"] = FormatExact(static_cast<double>(report.rbs));
-  fields["tput"] = FormatNumber(report.throughput_bps);
-  fields["rb_util"] = FormatNumber(report.rb_utilization);
+  fields["tput"] = FormatExact(report.throughput_bps);
+  fields["rb_util"] = FormatExact(report.rb_utilization);
   return Join(fields);
 }
 

@@ -50,8 +50,9 @@ void OneApiServer::ConnectVideoClient(FlarePlugin* plugin, const Mpd& mpd) {
     plugins_[info->flow] = plugin;
     // Reset the trace window so the first BAI measures a clean interval.
     if (cell_.HasFlow(info->flow)) cell_.TakeWindow(info->flow);
-    if (core_.admission() != nullptr && flight_ != nullptr) {
-      flight_->Record(ToSeconds(sim_.Now()), "admission_admit", info->flow);
+    if (core_.admission() != nullptr && span_trace_ != nullptr) {
+      span_trace_->Instant(kLaneControl, "churn", "admission_admit",
+                           static_cast<double>(sim_.Now()), {}, info->flow);
     }
     if (admission_callback_) admission_callback_(info->flow, true);
   });
@@ -72,21 +73,15 @@ bool OneApiServer::AdmitClient(const ClientInfo& info) {
       static_cast<double>(cell_.num_rbs()) * 1000.0);
   if (decision.admit) return true;
   admission_rejects_metric_.Add();
-  if (flight_ != nullptr) {
-    flight_->Record(ToSeconds(sim_.Now()), "admission_reject", info.flow, -1,
-                    decision.value,
-                    "{\"policy\":\"" +
-                        std::string(AdmissionPolicyName(
-                            core_.admission()->config().policy)) +
-                        "\"}");
-  }
   if (span_trace_ != nullptr) {
     span_trace_->Instant(
         kLaneControl, "churn", "admission_reject",
         static_cast<double>(sim_.Now()),
-        "{\"flow\":" + std::to_string(info.flow) + ",\"policy\":\"" +
-            AdmissionPolicyName(core_.admission()->config().policy) +
-            "\",\"value\":" + FormatNumber(decision.value) + "}");
+        "{\"policy\":\"" +
+            std::string(
+                AdmissionPolicyName(core_.admission()->config().policy)) +
+            "\"}",
+        info.flow, -1, decision.value);
   }
   return false;
 }
@@ -128,10 +123,7 @@ void OneApiServer::SetObservers(MetricsRegistry* registry,
       MakeGaugeHandle(registry, "oneapi.video_fraction");
 }
 
-void OneApiServer::SetAnalytics(QoeAnalytics* qoe, FlightRecorder* flight) {
-  qoe_ = qoe;
-  flight_ = flight;
-}
+void OneApiServer::SetAnalytics(QoeAnalytics* qoe) { qoe_ = qoe; }
 
 void OneApiServer::Start() {
   if (started_) return;
@@ -184,21 +176,6 @@ void OneApiServer::RunBai() {
     const RateAssignmentMsg msg = core_.Assignment(a);
     pcef_.EnforceGbr(msg.flow, msg.gbr_bps);
     assignments_metric_.Add();
-    if (a.level != a.previous_level) {
-      if (qoe_ != nullptr) qoe_->OnRungChange(DecisionCauseName(a.cause));
-      if (flight_ != nullptr) {
-        flight_->Record(ToSeconds(sim_.Now()), "rung_change", a.id, -1,
-                        static_cast<double>(a.level),
-                        "{\"from\":" + std::to_string(a.previous_level) +
-                            ",\"to\":" + std::to_string(a.level) +
-                            ",\"cause\":\"" + DecisionCauseName(a.cause) +
-                            "\"}");
-      }
-    }
-    if (flight_ != nullptr) {
-      flight_->Record(ToSeconds(sim_.Now()), "gbr_push", a.id, -1,
-                      msg.gbr_bps);
-    }
     if (span_trace_ != nullptr) {
       const double ts_us = static_cast<double>(sim_.Now());
       // Decision timeline: every enforced rung change is an instant with
@@ -206,15 +183,16 @@ void OneApiServer::RunBai() {
       if (a.level != a.previous_level) {
         span_trace_->Instant(
             kLaneControl, "decision", "rung_change", ts_us,
-            "{\"flow\":" + std::to_string(a.id) +
-                ",\"from\":" + std::to_string(a.previous_level) +
+            "{\"from\":" + std::to_string(a.previous_level) +
                 ",\"to\":" + std::to_string(a.level) + ",\"cause\":\"" +
-                DecisionCauseName(a.cause) + "\"}");
+                DecisionCauseName(a.cause) + "\"}",
+            a.id, -1, static_cast<double>(a.level));
       }
-      span_trace_->Instant(
-          kLaneControl, "oneapi", "gbr_push", ts_us,
-          "{\"flow\":" + std::to_string(a.id) +
-              ",\"gbr_kbps\":" + FormatNumber(msg.gbr_bps / 1000.0) + "}");
+      span_trace_->Instant(kLaneControl, "oneapi", "gbr_push", ts_us, {},
+                           a.id, -1, msg.gbr_bps);
+    }
+    if (qoe_ != nullptr && a.level != a.previous_level) {
+      qoe_->OnRungChange(DecisionCauseName(a.cause));
     }
     const BaiSession* session =
         trace_sink_ != nullptr ? core_.Find(a.id) : nullptr;

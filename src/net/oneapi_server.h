@@ -26,7 +26,6 @@
 #include "net/pcef.h"
 #include "net/pcrf.h"
 #include "obs/bai_trace.h"
-#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/qoe_analytics.h"
 #include "obs/span_trace.h"
@@ -135,18 +134,15 @@ class OneApiServer {
   /// Attach observability (any pointer may be null): the registry gets
   /// BAI counters and the solve-time histogram; the sink gets one
   /// BaiTraceRow per video flow per BAI; the span tracer gets BAI/solver
-  /// spans, rung-change and GBR-push instants; the health monitor is fed
-  /// each BAI's solver feasibility.
+  /// spans and the rung_change, gbr_push and admission_admit/reject
+  /// instants; the health monitor is fed each BAI's solver feasibility.
   void SetObservers(MetricsRegistry* registry, BaiTraceSink* sink,
                     SpanTracer* spans = nullptr,
                     RunHealthMonitor* health = nullptr);
 
-  /// Attach the QoE/flight-recorder tier (either may be null): `qoe`
-  /// counts enforced rung changes by DecisionCause and admission
-  /// verdicts; `flight` records rung_change / gbr_push / admission
-  /// events. Separate from SetObservers so existing call sites keep
-  /// their signature.
-  void SetAnalytics(QoeAnalytics* qoe, FlightRecorder* flight);
+  /// Attach the QoE engine (may be null): it counts enforced rung changes
+  /// by DecisionCause and admission verdicts.
+  void SetAnalytics(QoeAnalytics* qoe);
 
  private:
   /// Offer a landed connect to the core; true = admitted (core
@@ -181,7 +177,6 @@ class OneApiServer {
   SpanTracer* span_trace_ = nullptr;
   RunHealthMonitor* health_ = nullptr;
   QoeAnalytics* qoe_ = nullptr;
-  FlightRecorder* flight_ = nullptr;
   CounterHandle bais_metric_;
   CounterHandle assignments_metric_;
   CounterHandle admission_rejects_metric_;

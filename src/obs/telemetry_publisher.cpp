@@ -3,20 +3,19 @@
 #include <string>
 #include <utility>
 
-#include "obs/span_trace.h"  // JsonQuote
-#include "util/csv.h"        // JsonNumber
+#include "util/csv.h"  // JsonNumber
 
 namespace flare {
 
-std::string RenderFlightEventNdjson(const FlightEvent& event) {
+std::string RenderEventNdjson(const TraceEvent& event) {
   std::string line = "{\"t_s\": ";
-  line += JsonNumber(event.t_s);
+  line += JsonNumber(event.ts_us / 1e6);
   line += ", \"cell\": ";
-  line += std::to_string(event.cell);
+  line += std::to_string(event.cell());
   line += ", \"seq\": ";
   line += std::to_string(event.seq);
   line += ", \"kind\": ";
-  line += JsonQuote(event.kind);
+  line += JsonQuote(event.name);
   line += ", \"flow\": ";
   line += std::to_string(event.flow);
   line += ", \"client\": ";
@@ -73,7 +72,7 @@ void TelemetryPublisher::PublishNow(double sim_time_s) {
     snap.metrics.AbsorbFrom(*coordinator_metrics_);
   }
   std::vector<std::string> event_lines;
-  std::vector<FlightEvent> events;
+  std::vector<TraceEvent> events;
   for (Shard& shard : shards_) {
     const std::string cell_prefix =
         "cell" + std::to_string(shard.cell) + ".";
@@ -110,12 +109,12 @@ void TelemetryPublisher::PublishNow(double sim_time_s) {
       snap.metrics.gauges[cell_prefix + "health.healthy"] =
           healthy ? 1.0 : 0.0;
     }
-    if (shard.view.flight != nullptr) {
+    if (shard.view.tracer != nullptr) {
       events.clear();
-      shard.next_event_seq = shard.view.flight->CollectEventsSince(
-          shard.next_event_seq, shard.cell, &events);
-      for (const FlightEvent& event : events) {
-        event_lines.push_back(RenderFlightEventNdjson(event));
+      shard.next_event_seq = shard.view.tracer->CollectEventsSince(
+          shard.next_event_seq, &events);
+      for (const TraceEvent& event : events) {
+        event_lines.push_back(RenderEventNdjson(event));
       }
     }
   }

@@ -13,7 +13,7 @@
 //
 // Cost when disabled: MaybePublish is a single null check (no clock
 // read) — bench_optimizer's BM_TelemetryOverhead holds it to the same
-// order as the disabled flight-recorder path. When enabled but not yet
+// order as a disabled instant site. When enabled but not yet
 // due, the cost is one steady_clock read.
 #pragma once
 
@@ -22,9 +22,9 @@
 #include <string>
 #include <vector>
 
-#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/qoe_analytics.h"
+#include "obs/span_trace.h"
 #include "obs/telemetry_server.h"
 #include "obs/watchdog.h"
 
@@ -35,7 +35,8 @@ struct TelemetryShardView {
   const MetricsRegistry* metrics = nullptr;
   const QoeAnalytics* qoe = nullptr;
   const RunHealthMonitor* health = nullptr;
-  const FlightRecorder* flight = nullptr;
+  /// The shard's event log; `/events` tails its flight window.
+  const SpanTracer* tracer = nullptr;
   /// Prefix the shard registry's metric names get in the snapshot
   /// ("cell<N>." in multi-cell runs, "" single-cell — matching the
   /// end-of-run merge).
@@ -57,8 +58,8 @@ class TelemetryPublisher {
   void SetCoordinatorMetrics(const MetricsRegistry* metrics) {
     coordinator_metrics_ = metrics;
   }
-  /// Register one shard; `cell` stamps the qoe.* gauges and flight
-  /// events. Call once per cell before the run starts.
+  /// Register one shard; `cell` stamps its qoe.* and health gauges.
+  /// Call once per cell before the run starts.
   void AddShard(TelemetryShardView shard, int cell);
 
   bool enabled() const { return server_ != nullptr; }
@@ -99,8 +100,8 @@ class TelemetryPublisher {
   std::uint64_t publishes_ = 0;
 };
 
-/// Render one flight event as an NDJSON object (no trailing newline);
-/// shared by the publisher and its tests.
-std::string RenderFlightEventNdjson(const FlightEvent& event);
+/// Render one instant as an `/events` NDJSON object (no trailing
+/// newline): t_s, cell, seq, kind, flow, client, value, args.
+std::string RenderEventNdjson(const TraceEvent& event);
 
 }  // namespace flare

@@ -33,11 +33,9 @@ RunHealthMonitor::RunHealthMonitor(const WatchdogConfig& config)
     : config_(config) {}
 
 void RunHealthMonitor::SetObservers(MetricsRegistry* registry,
-                                    SpanTracer* tracer,
-                                    FlightRecorder* flight) {
+                                    SpanTracer* tracer) {
   warnings_metric_ = MakeCounterHandle(registry, "health.warnings");
   tracer_ = tracer;
-  flight_ = flight;
 }
 
 void RunHealthMonitor::Emit(double t_s, const char* kind, FlowId flow,
@@ -52,21 +50,13 @@ void RunHealthMonitor::Emit(double t_s, const char* kind, FlowId flow,
   w.detail = std::move(detail);
   warnings_metric_.Add();
   if (tracer_ != nullptr) {
-    std::string args = "{\"cell\":" + std::to_string(w.cell);
-    if (w.flow != kInvalidFlow) args += ",\"flow\":" + std::to_string(w.flow);
-    if (w.client >= 0) args += ",\"client\":" + std::to_string(w.client);
-    args += ",\"value\":" + FormatNumber(w.value);
-    args += ",\"detail\":" + JsonQuote(w.detail) + "}";
-    tracer_->Instant(kLaneControl, "health", kind, t_s * 1e6,
-                     std::move(args));
-  }
-  if (flight_ != nullptr) {
-    // Record the warning itself, then latch the ring: the snapshot is the
-    // pre-alarm context this recorder exists for.
-    flight_->Record(t_s, "watchdog", w.flow, w.client, w.value,
-                    "{\"kind\":" + JsonQuote(kind) +
-                        ",\"detail\":" + JsonQuote(w.detail) + "}");
-    flight_->TriggerSnapshot(kind, t_s);
+    // Record the warning itself, then latch the flight window: the
+    // snapshot is the pre-alarm context.
+    tracer_->Instant(kLaneControl, "health", "watchdog", t_s * 1e6,
+                     "{\"kind\":" + JsonQuote(kind) +
+                         ",\"detail\":" + JsonQuote(w.detail) + "}",
+                     w.flow, w.client, w.value);
+    tracer_->TriggerSnapshot(kind, t_s);
   }
   warnings_.push_back(std::move(w));
 }

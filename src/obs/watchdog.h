@@ -6,9 +6,10 @@
 // warning whenever a signal stays bad for a configured streak of
 // consecutive BAIs. Warnings go three places: this monitor's list (the
 // `run_health` section of the metrics JSON), a `health.warnings` counter
-// in the attached MetricsRegistry, and `health` instant events in the
-// attached SpanTracer, so an unhealthy stretch is visible right on the
-// Perfetto timeline next to the decisions that caused it.
+// in the attached MetricsRegistry, and one `watchdog` instant in the
+// attached SpanTracer, which also latches the tracer's flight snapshot —
+// so an unhealthy stretch is visible on the Perfetto timeline next to the
+// decisions that caused it, and in the post-mortem dump.
 //
 // Threading follows the shard model: one monitor per cell shard, fed
 // only by that cell's event domain, merged post-run in cell order with
@@ -26,7 +27,6 @@
 #include <vector>
 
 #include "lte/types.h"
-#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/span_trace.h"
 
@@ -72,11 +72,10 @@ class RunHealthMonitor {
   RunHealthMonitor(const RunHealthMonitor&) = delete;
   RunHealthMonitor& operator=(const RunHealthMonitor&) = delete;
 
-  /// Attach sinks (any may be null): `registry` gets a `health.warnings`
-  /// counter, `tracer` gets `health` instants, and `flight` gets a
-  /// `watchdog` event plus a ring snapshot latched on the first warning.
-  void SetObservers(MetricsRegistry* registry, SpanTracer* tracer,
-                    FlightRecorder* flight = nullptr);
+  /// Attach sinks (either may be null): `registry` gets a
+  /// `health.warnings` counter, `tracer` a `watchdog` instant per warning
+  /// and a flight snapshot latched on the first.
+  void SetObservers(MetricsRegistry* registry, SpanTracer* tracer);
   void set_cell(int cell) { cell_ = cell; }
   const WatchdogConfig& config() const { return config_; }
 
@@ -125,7 +124,6 @@ class RunHealthMonitor {
   std::vector<HealthWarning> warnings_;
   CounterHandle warnings_metric_;
   SpanTracer* tracer_ = nullptr;
-  FlightRecorder* flight_ = nullptr;
 };
 
 }  // namespace flare

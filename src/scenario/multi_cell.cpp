@@ -60,8 +60,8 @@ void ApplyPcrfOp(Pcrf& pcrf, const std::string& payload) {
 /// lifetime and the shards are cheap when unused.
 struct CellShard {
   CellShard(const WatchdogConfig& watchdog, QoeEngineWeights qoe_weights,
-            std::size_t flight_capacity)
-      : health(watchdog), qoe(qoe_weights), flight(flight_capacity) {}
+            std::size_t flight_window, bool timeline)
+      : spans(flight_window, timeline), health(watchdog), qoe(qoe_weights) {}
 
   Pcrf pcrf;  // domain-local mirror, read synchronously by the controller
   MetricsRegistry metrics;
@@ -69,7 +69,6 @@ struct CellShard {
   SpanTracer spans;
   RunHealthMonitor health;
   QoeAnalytics qoe;
-  FlightRecorder flight;
   std::unique_ptr<ScenarioWorld> world;
 };
 
@@ -93,7 +92,8 @@ MultiCellResult RunMultiCellScenario(const MultiCellConfig& config) {
   // Per-cell worlds. deque: shard addresses must survive emplace_back
   // (worlds hold pointers into their shard's observers and PCRF).
   const bool deterministic = config.cell.oneapi.deterministic_timing;
-  runner.SetObservers(config.metrics, config.span_trace, deterministic);
+  SpanTracer* const timeline = TimelineOf(config.span_trace);
+  runner.SetObservers(config.metrics, timeline, deterministic);
   if (config.span_trace != nullptr) {
     config.span_trace->set_deterministic(deterministic);
     config.span_trace->set_default_pid(0);  // coordinator/runner process
@@ -112,9 +112,10 @@ MultiCellResult RunMultiCellScenario(const MultiCellConfig& config) {
     CellShard& shard = shards.emplace_back(
         config.health != nullptr ? config.health->config() : WatchdogConfig{},
         config.qoe != nullptr ? config.qoe->weights() : QoeEngineWeights{},
-        config.flight != nullptr ? config.flight->capacity()
-                                 : FlightRecorder::kDefaultCapacity);
-    if (config.span_trace != nullptr) domain.SetSpanTracer(&shard.spans);
+        config.span_trace != nullptr ? config.span_trace->flight_window()
+                                     : SpanTracer::kDefaultFlightWindow,
+        timeline != nullptr);
+    if (timeline != nullptr) domain.SetSpanTracer(&shard.spans);
 
     shard.pcrf.SetOnChange([&domain](FlowId id, FlowType type,
                                      Pcrf::CellTag cell, bool registered) {
@@ -129,15 +130,12 @@ MultiCellResult RunMultiCellScenario(const MultiCellConfig& config) {
     cell_config.bai_trace =
         config.bai_trace != nullptr ? &shard.trace : nullptr;
     cell_config.span_trace =
-        config.span_trace != nullptr ? &shard.spans : nullptr;
+        config.span_trace != nullptr || telemetry_on ? &shard.spans : nullptr;
     cell_config.health = config.health != nullptr || telemetry_on
                              ? &shard.health
                              : nullptr;
     cell_config.qoe =
         config.qoe != nullptr || telemetry_on ? &shard.qoe : nullptr;
-    cell_config.flight = config.flight != nullptr || telemetry_on
-                             ? &shard.flight
-                             : nullptr;
     // Telemetry is published from the coordinator's barrier hook, never
     // from inside a cell's world.
     cell_config.telemetry = nullptr;
@@ -149,7 +147,7 @@ MultiCellResult RunMultiCellScenario(const MultiCellConfig& config) {
 
     if (telemetry_on) {
       publisher.AddShard({&shard.metrics, &shard.qoe, &shard.health,
-                          &shard.flight,
+                          &shard.spans,
                           "cell" + std::to_string(c) + "."},
                          c);
     }
@@ -202,14 +200,10 @@ MultiCellResult RunMultiCellScenario(const MultiCellConfig& config) {
     if (config.qoe != nullptr) {
       config.qoe->AbsorbShard(shard.qoe, c);
     }
-    if (config.flight != nullptr) {
-      config.flight->AbsorbShard(shard.flight, c);
-    }
   }
   if (config.bai_trace != nullptr) config.bai_trace->SortMergedRows();
   if (config.span_trace != nullptr) config.span_trace->SortMergedEvents();
   if (config.health != nullptr) config.health->SortMergedWarnings();
-  if (config.flight != nullptr) config.flight->SortMergedEvents();
 
   return result;
 }

@@ -41,8 +41,10 @@ struct MultiCellConfig {
   /// Per-cell traces are absorbed with rows stamped by cell and sorted
   /// deterministically. Not owned.
   BaiTraceSink* bai_trace = nullptr;
-  /// Per-cell span shards (pid = cell+1) plus the runner's own epoch /
-  /// barrier spans (pid 0) are merged here in cell order. Not owned.
+  /// Per-cell event logs (pid = cell+1, built with this one's flight
+  /// window and timeline setting) plus the runner's own epoch / barrier
+  /// spans (pid 0) are merged here in cell order; the earliest shard
+  /// flight trigger wins. Not owned.
   SpanTracer* span_trace = nullptr;
   /// Per-cell health monitors, merged with warnings restamped by cell.
   /// Its WatchdogConfig seeds every shard monitor. Not owned.
@@ -50,15 +52,12 @@ struct MultiCellConfig {
   /// Per-cell QoE engines (weights copied from this one), merged with
   /// sessions restamped by cell. Not owned.
   QoeAnalytics* qoe = nullptr;
-  /// Per-cell flight recorders (capacity copied from this one), merged in
-  /// cell order; the earliest shard trigger wins. Not owned.
-  FlightRecorder* flight = nullptr;
 
   /// Live telemetry server (obs/telemetry_server.h). When set, the
   /// runner's barrier hook publishes read-only snapshots of every shard's
   /// observers (absorbed under "cell<N>." like the post-run merge) every
   /// `telemetry_interval_ms` of wall clock. Shard observers are fed even
-  /// when the merged sinks above are null, so live QoE/health/flight
+  /// when the merged sinks above are null, so live QoE/health/event
   /// telemetry works without requesting end-of-run exports. Run bytes
   /// stay byte-identical with telemetry on or off. Not owned; must be
   /// Start()ed by the caller.

@@ -87,7 +87,7 @@ ScenarioResult RunScenario(const ScenarioConfig& config) {
     publisher.ConfigureRun(SchemeName(config.scheme), config.duration_s,
                            /*cells=*/1, /*workers=*/0);
     publisher.AddShard({config.metrics, config.qoe, config.health,
-                        config.flight, /*metrics_prefix=*/""},
+                        config.span_trace, /*metrics_prefix=*/""},
                        /*cell=*/0);
     const SimTime bai = config.oneapi.bai;
     sim.Every(bai, bai, [&publisher, &sim] {

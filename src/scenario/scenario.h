@@ -148,9 +148,12 @@ struct ScenarioConfig {
   MetricsRegistry* metrics = nullptr;
   /// Structured per-BAI / per-TTI / per-player trace sink. Not owned.
   BaiTraceSink* bai_trace = nullptr;
-  /// Causal span tracer (Chrome trace-event JSON). The world binds its
-  /// clock/pid/determinism on construction; pass one tracer per cell
-  /// shard in multi-cell runs. Not owned.
+  /// The run's event log (obs/span_trace.h): the Perfetto timeline when
+  /// built with one, and always the flight window of recent instants
+  /// (rung changes, GBR pushes, admission verdicts, stall edges,
+  /// watchdog alarms) behind the post-mortem dump and `/events`. The
+  /// world binds its clock/pid/determinism on construction; pass one
+  /// tracer per cell shard in multi-cell runs. Not owned.
   SpanTracer* span_trace = nullptr;
   /// Run-health watchdogs, scanned once per BAI. One monitor per cell
   /// shard in multi-cell runs. Not owned.
@@ -159,10 +162,6 @@ struct ScenarioConfig {
   /// delay, fairness, admitted-vs-blocked QoE). One engine per cell shard
   /// in multi-cell runs. Not owned.
   QoeAnalytics* qoe = nullptr;
-  /// Black-box flight recorder: bounded ring of recent structured events,
-  /// snapshotted on the first watchdog alarm. One recorder per cell shard
-  /// in multi-cell runs. Not owned.
-  FlightRecorder* flight = nullptr;
   /// Live telemetry server (obs/telemetry_server.h). When set, RunScenario
   /// publishes read-only snapshots of the attached observers every
   /// `telemetry_interval_ms` of wall clock on BAI boundaries; run bytes

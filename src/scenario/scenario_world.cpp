@@ -145,17 +145,13 @@ ScenarioWorld::ScenarioWorld(const ScenarioConfig& config, Simulator& sim,
   if (config_.qoe != nullptr) {
     config_.qoe->set_cell(static_cast<int>(config_.oneapi.cell_tag));
   }
-  if (config_.flight != nullptr) {
-    config_.flight->set_cell(static_cast<int>(config_.oneapi.cell_tag));
-  }
   if (config_.health != nullptr) {
     config_.health->set_cell(static_cast<int>(config_.oneapi.cell_tag));
-    config_.health->SetObservers(config_.metrics, config_.span_trace,
-                                 config_.flight);
+    config_.health->SetObservers(config_.metrics, config_.span_trace);
   }
   oneapi_.SetObservers(config_.metrics, config_.bai_trace, config_.span_trace,
                        config_.health);
-  oneapi_.SetAnalytics(config_.qoe, config_.flight);
+  oneapi_.SetAnalytics(config_.qoe);
 
   const Pcrf::CellTag cell_tag = config_.oneapi.cell_tag;
   const int n_ues =
@@ -183,7 +179,7 @@ ScenarioWorld::ScenarioWorld(const ScenarioConfig& config, Simulator& sim,
         sim_, *https_.back(), mpd_, std::move(abr), session_config);
     session->player().SetMetrics(config_.metrics);
     session->player().SetSpanTracer(config_.span_trace, i);
-    session->player().SetQoeAnalytics(config_.qoe, config_.flight, i);
+    session->player().SetQoeAnalytics(config_.qoe, i);
 
     if (plugin != nullptr) {
       // Opt-in client disclosures (Section II-B) before registration.
@@ -241,8 +237,8 @@ ScenarioWorld::ScenarioWorld(const ScenarioConfig& config, Simulator& sim,
     // Conventional players track QoE under their UE index, after the
     // video + data id ranges (same layout as their channel salt).
     const int session_id = config_.n_video + config_.n_data + i;
-    session->player().SetQoeAnalytics(config_.qoe, config_.flight,
-                                      session_id);
+    session->player().SetSpanTracer(config_.span_trace, session_id);
+    session->player().SetQoeAnalytics(config_.qoe, session_id);
     const SimTime start = FromSeconds(0.5 * (config_.n_video + i)) +
                           FromSeconds(rng_.Uniform(0.0, 0.25));
     if (config_.qoe != nullptr) {
@@ -421,8 +417,7 @@ int ScenarioWorld::SpawnDynamicSession(SessionKind kind) {
         sim_, *dyn.http, mpd_, std::move(abr), session_config);
     dyn.session->player().SetMetrics(config_.metrics);
     dyn.session->player().SetSpanTracer(config_.span_trace, ue_index);
-    dyn.session->player().SetQoeAnalytics(config_.qoe, config_.flight,
-                                          ue_index);
+    dyn.session->player().SetQoeAnalytics(config_.qoe, ue_index);
 
     if (plugin != nullptr) {
       // Registration (and admission control) completes after the OneAPI

@@ -93,8 +93,8 @@ struct OneApiService::Impl {
     admission.SetObservers(&registry);
     core.SetAdmission(&admission);
     if (!options.trace_json.empty()) {
-      tracer = std::make_unique<RequestTracer>(
-          &registry, &metrics_mu, options.flight_recorder, options.trace);
+      tracer =
+          std::make_unique<RequestTracer>(&registry, &metrics_mu, options.trace);
     }
   }
 
@@ -142,6 +142,16 @@ struct OneApiService::Impl {
   CounterHandle bais_metric = MakeCounterHandle(&registry, "svc.oneapi.bais");
   CounterHandle malformed_rejects_metric =
       MakeCounterHandle(&registry, "svc.oneapi.malformed_rejects");
+  CounterHandle overload_rejects_metric =
+      MakeCounterHandle(&registry, "svc.oneapi.overload_rejects");
+  CounterHandle admission_rejects_metric =
+      MakeCounterHandle(&registry, "svc.oneapi.admission_rejects");
+  CounterHandle connections_metric =
+      MakeCounterHandle(&registry, "svc.oneapi.connections");
+  CounterHandle unknown_ext_metric =
+      MakeCounterHandle(&registry, "svc.oneapi.frames_with_unknown_ext");
+  CounterHandle superseded_metric =
+      MakeCounterHandle(&registry, "svc.oneapi.trace.superseded");
   /// Session ledger: arrivals == admitted + overload_rejects +
   /// admission_rejects, and admitted == departed + the sessions gauge.
   CounterHandle arrivals_metric =
@@ -158,6 +168,8 @@ struct OneApiService::Impl {
       MakeGaugeHandle(&registry, "svc.oneapi.video_fraction");
   GaugeHandle sessions_metric =
       MakeGaugeHandle(&registry, "svc.oneapi.sessions");
+  GaugeHandle blocking_rate_metric =
+      MakeGaugeHandle(&registry, "svc.oneapi.blocking_rate");
 
   // --- Thread-safe progress counters ------------------------------------
   std::atomic<std::uint64_t> connections_accepted{0};
@@ -184,9 +196,9 @@ struct OneApiService::Impl {
   void TeardownConn(int fd);
   void Tick();
   void PublishTelemetry();
-  /// Book one arrival's verdict; `reject_counter` names the registry
-  /// counter of a reject, null for an admission.
-  void CountVerdict(const char* reject_counter);
+  /// Book one arrival's verdict; `reject_metric` is the counter of a
+  /// reject, null for an admission.
+  void CountVerdict(CounterHandle* reject_metric);
   void ShutdownOnLoop();
 };
 
@@ -203,7 +215,7 @@ void OneApiService::Impl::OnAccept() {
     connections_accepted.fetch_add(1, std::memory_order_relaxed);
     {
       std::lock_guard<std::mutex> lock(metrics_mu);
-      registry.GetCounter("svc.oneapi.connections").Add();
+      connections_metric.Add();
     }
     conns.emplace(fd, std::make_unique<SessionConn>(fd));
     loop.Watch(fd, EpollLoop::kReadable | EpollLoop::kError,
@@ -269,7 +281,7 @@ void OneApiService::Impl::ProcessInbox(SessionConn& sc, double read_start_us,
       // Extension-bearing frame with unknown keys/trailing bytes: the
       // forward-compatibility path, tolerated but visible.
       std::lock_guard<std::mutex> lock(metrics_mu);
-      registry.GetCounter("svc.oneapi.frames_with_unknown_ext").Add();
+      unknown_ext_metric.Add();
     }
     switch (frame.type) {
       case FrameType::kClientInfo:
@@ -329,7 +341,7 @@ void OneApiService::Impl::HandleClientInfo(SessionConn& sc,
   if (duplicate ||
       (options.max_sessions > 0 && sessions.size() >= options.max_sessions)) {
     overload_rejects.fetch_add(1, std::memory_order_relaxed);
-    CountVerdict("svc.oneapi.overload_rejects");
+    CountVerdict(&overload_rejects_metric);
     record_admit(false);
     SendOverloadAndClose(
         sc, duplicate ? Overload("duplicate_flow")
@@ -350,7 +362,7 @@ void OneApiService::Impl::HandleClientInfo(SessionConn& sc,
   }
   if (!decision.admit) {
     admission_rejects.fetch_add(1, std::memory_order_relaxed);
-    CountVerdict("svc.oneapi.admission_rejects");
+    CountVerdict(&admission_rejects_metric);
     record_admit(false);
     SendOverloadAndClose(
         sc, Overload("admission",
@@ -401,7 +413,7 @@ void OneApiService::Impl::HandleStats(SessionConn& sc, const Frame& frame,
     // the tick supersedes the first (counted — its id will never echo).
     if (it->second.pending_trace) {
       std::lock_guard<std::mutex> lock(metrics_mu);
-      registry.GetCounter("svc.oneapi.trace.superseded").Add();
+      superseded_metric.Add();
     }
     const double now_us = NowUs();
     RequestTiming pending;
@@ -470,20 +482,16 @@ void OneApiService::Impl::TeardownConn(int fd) {
   conns.erase(it);  // TcpConnection destructor closes the fd
 }
 
-void OneApiService::Impl::CountVerdict(const char* reject_counter) {
+void OneApiService::Impl::CountVerdict(CounterHandle* reject_metric) {
   ++arrivals;
-  if (reject_counter != nullptr) ++blocked;
+  if (reject_metric != nullptr) ++blocked;
   // One lock for the whole verdict, so every snapshot's ledger balances.
   std::lock_guard<std::mutex> lock(metrics_mu);
   arrivals_metric.Add();
-  if (reject_counter != nullptr) {
-    registry.GetCounter(reject_counter).Add();
-  } else {
-    admitted_metric.Add();
-  }
+  (reject_metric != nullptr ? *reject_metric : admitted_metric).Add();
   sessions_metric.Set(static_cast<double>(sessions.size()));
-  registry.GetGauge("svc.oneapi.blocking_rate")
-      .Set(static_cast<double>(blocked) / static_cast<double>(arrivals));
+  blocking_rate_metric.Set(static_cast<double>(blocked) /
+                           static_cast<double>(arrivals));
 }
 
 void OneApiService::Impl::OnTimer() {
@@ -770,6 +778,11 @@ std::uint64_t OneApiService::sessions() const {
 }
 std::uint64_t OneApiService::traced_requests() const {
   return impl_->tracer != nullptr ? impl_->tracer->finalized_requests() : 0;
+}
+
+bool OneApiService::DumpFlight(const std::string& path) {
+  return !impl_->started && impl_->tracer != nullptr &&
+         impl_->tracer->DumpFlight(path);
 }
 
 }  // namespace flare

@@ -50,7 +50,6 @@
 
 namespace flare {
 
-class FlightRecorder;
 class TelemetryServer;
 
 struct OneApiServiceOptions {
@@ -108,9 +107,6 @@ struct OneApiServiceOptions {
   std::string trace_json;
   /// Tracer tuning (event cap, worst-K exemplar window).
   RequestTracerOptions trace;
-  /// Slow-request exemplar sink (not owned; may be null). Only read when
-  /// tracing is enabled.
-  FlightRecorder* flight_recorder = nullptr;
 };
 
 class OneApiService {
@@ -151,6 +147,10 @@ class OneApiService {
   /// Requests finalized by the tracer (0 when tracing is off). Like the
   /// other counters, safe from any thread.
   std::uint64_t traced_requests() const;
+  /// Write the request tracer's flight dump (the slow-request exemplars)
+  /// to `path`. Call after Stop(); false when tracing is off or the file
+  /// is unwritable.
+  bool DumpFlight(const std::string& path);
 
  private:
   struct Impl;

@@ -5,8 +5,6 @@
 #include <sstream>
 #include <utility>
 
-#include "obs/flight_recorder.h"
-
 namespace flare {
 namespace {
 
@@ -18,6 +16,13 @@ const std::vector<double> kStageBounds = {10.0,    50.0,    100.0,
 
 const double kQuantiles[3] = {0.5, 0.95, 0.99};
 const char* const kQuantileNames[3] = {"p50", "p95", "p99"};
+
+enum Phase { kRecv, kParse, kAdmit, kQueueWait, kSolve, kEncode, kDrain };
+
+std::string StageName(int phase, const char* suffix) {
+  return std::string("svc.oneapi.stage.") + kRequestPhaseNames[phase] +
+         suffix;
+}
 
 std::string PhaseArgsJson(const RequestTiming& t, double total_us) {
   std::ostringstream out;
@@ -50,13 +55,22 @@ std::string TraceIdHex(std::uint64_t trace_id) {
 }
 
 RequestTracer::RequestTracer(MetricsRegistry* registry,
-                             std::mutex* registry_mu, FlightRecorder* flight,
+                             std::mutex* registry_mu,
                              RequestTracerOptions options)
     : registry_(registry),
       registry_mu_(registry_mu),
-      flight_(flight),
+      requests_metric_(
+          MakeCounterHandle(registry, "svc.oneapi.trace.requests")),
+      requests_dropped_metric_(
+          MakeCounterHandle(registry, "svc.oneapi.trace.requests_dropped")),
+      dropped_events_metric_(
+          MakeCounterHandle(registry, "svc.oneapi.trace.dropped_events")),
       options_(std::move(options)),
       epoch_(std::chrono::steady_clock::now()) {
+  for (int phase = 0; phase < kNumRequestPhases; ++phase) {
+    stage_metrics_[phase] =
+        &registry->GetHistogram(StageName(phase, "_us"), kStageBounds);
+  }
   // pid 1 so the daemon's events survive a merge with a client trace that
   // also recorded at its own default pid.
   tracer_.set_default_pid(1);
@@ -71,17 +85,14 @@ double RequestTracer::now_us() const {
          1e3;
 }
 
-void RequestTracer::RecordStage(const char* phase, double value_us) {
+void RequestTracer::RecordStage(int phase, double value_us) {
   std::lock_guard<std::mutex> lock(*registry_mu_);
-  registry_
-      ->GetHistogram(std::string("svc.oneapi.stage.") + phase + "_us",
-                     kStageBounds)
-      .Observe(value_us);
+  stage_metrics_[phase]->Observe(value_us);
 }
 
 void RequestTracer::CountDroppedEvent() {
   std::lock_guard<std::mutex> lock(*registry_mu_);
-  registry_->GetCounter("svc.oneapi.trace.dropped_events").Add();
+  dropped_events_metric_.Add();
 }
 
 void RequestTracer::OnAdmit(const TraceContext* ctx, FlowId flow,
@@ -90,9 +101,9 @@ void RequestTracer::OnAdmit(const TraceContext* ctx, FlowId flow,
                             double admit_start_us, double admit_us,
                             bool admitted) {
   (void)parse_start_us;
-  RecordStage("recv", recv_us);
-  RecordStage("parse", parse_us);
-  RecordStage("admit", admit_us);
+  RecordStage(kRecv, recv_us);
+  RecordStage(kParse, parse_us);
+  RecordStage(kAdmit, admit_us);
   if (!CanRecord()) {
     CountDroppedEvent();
     return;
@@ -111,8 +122,8 @@ void RequestTracer::OnAdmit(const TraceContext* ctx, FlowId flow,
 }
 
 void RequestTracer::OnSampleQueued(const RequestTiming& timing) {
-  RecordStage("recv", timing.recv_us);
-  RecordStage("parse", timing.parse_us);
+  RecordStage(kRecv, timing.recv_us);
+  RecordStage(kParse, timing.parse_us);
 }
 
 void RequestTracer::OnAssignmentQueued(RequestTiming timing, int fd,
@@ -126,7 +137,7 @@ void RequestTracer::OnAssignmentQueued(RequestTiming timing, int fd,
 void RequestTracer::OnAssignmentDropped(FlowId flow) {
   (void)flow;
   std::lock_guard<std::mutex> lock(*registry_mu_);
-  registry_->GetCounter("svc.oneapi.trace.requests_dropped").Add();
+  requests_dropped_metric_.Add();
 }
 
 void RequestTracer::OnConnFlushed(int fd, std::uint64_t drained_bytes,
@@ -154,13 +165,13 @@ void RequestTracer::FinalizeRequest(const RequestTiming& t) {
   finalized_.fetch_add(1, std::memory_order_relaxed);
   const double total_us = t.end_us - t.start_us;
   const double drain_us = t.end_us - t.send_us;
-  RecordStage("queue_wait", t.queue_wait_us);
-  RecordStage("solve", t.solve_us);
-  RecordStage("encode", t.encode_us);
-  RecordStage("outbox_drain", drain_us);
+  RecordStage(kQueueWait, t.queue_wait_us);
+  RecordStage(kSolve, t.solve_us);
+  RecordStage(kEncode, t.encode_us);
+  RecordStage(kDrain, drain_us);
   {
     std::lock_guard<std::mutex> lock(*registry_mu_);
-    registry_->GetCounter("svc.oneapi.trace.requests").Add();
+    requests_metric_.Add();
   }
 
   // Worst-K window table, slowest first.
@@ -218,16 +229,16 @@ void RequestTracer::EndTick(double tick_start_us, double solve_start_us,
   // appear only once a stage has data (Quantile is NaN on empty).
   {
     std::lock_guard<std::mutex> lock(*registry_mu_);
-    for (const char* phase : kRequestPhaseNames) {
-      Histogram& hist = registry_->GetHistogram(
-          std::string("svc.oneapi.stage.") + phase + "_us", kStageBounds);
+    for (int phase = 0; phase < kNumRequestPhases; ++phase) {
+      const Histogram& hist = *stage_metrics_[phase];
+      if (hist.count() == 0) continue;  // quantiles are NaN until data
       for (int q = 0; q < 3; ++q) {
-        const double value = hist.Quantile(kQuantiles[q]);
-        if (value != value) continue;  // NaN: no observations yet
-        registry_
-            ->GetGauge(std::string("svc.oneapi.stage.") + phase + "." +
-                       kQuantileNames[q] + "_us")
-            .Set(value);
+        Gauge*& gauge = quantile_metrics_[phase][q];
+        if (gauge == nullptr) {
+          gauge = &registry_->GetGauge(StageName(phase, ".") +
+                                       kQuantileNames[q] + "_us");
+        }
+        gauge->Set(hist.Quantile(kQuantiles[q]));
       }
     }
   }
@@ -239,12 +250,13 @@ void RequestTracer::EndTick(double tick_start_us, double solve_start_us,
 }
 
 void RequestTracer::FlushExemplars() {
-  if (flight_ != nullptr) {
-    for (const RequestTiming& t : exemplars_) {
-      const double total_us = t.end_us - t.start_us;
-      flight_->Record(t.end_us / 1e6, "slow_request", t.flow, -1, total_us,
-                      PhaseArgsJson(t, total_us));
-    }
+  // Past the event cap the timeline stops growing, but every exemplar
+  // still enters the flight window.
+  if (!CanRecord()) tracer_.set_timeline(false);
+  for (const RequestTiming& t : exemplars_) {
+    const double total_us = t.end_us - t.start_us;
+    tracer_.Instant(kLaneControl, "svc", "slow_request", t.end_us,
+                    PhaseArgsJson(t, total_us), t.flow, -1, total_us);
   }
   exemplars_.clear();
 }
@@ -253,6 +265,11 @@ bool RequestTracer::ExportJson(const std::string& path) {
   FlushExemplars();
   tracer_.SortMergedEvents();
   return tracer_.ExportJson(path);
+}
+
+bool RequestTracer::DumpFlight(const std::string& path) {
+  FlushExemplars();
+  return tracer_.DumpPostmortem(path, "shutdown");
 }
 
 }  // namespace flare

@@ -12,13 +12,15 @@
 //      derived p50/p95/p99 gauges refreshed each tick, so /metrics and
 //      flare_top show where tail latency lives without a trace file.
 //   3. Slow-request exemplars — a bounded worst-K table per window of
-//      ticks, flushed into the flight recorder with the full phase
-//      breakdown and the solver's DecisionCause, so a postmortem names
-//      the offending stage of the slowest concrete requests.
+//      ticks, flushed as `slow_request` instants with the full phase
+//      breakdown and the solver's DecisionCause into the tracer's flight
+//      window, so a post-mortem (DumpFlight) names the offending stage
+//      of the slowest concrete requests.
 //
 // Threading model matches the service: every method runs on the daemon's
 // single IO thread; the only shared state is the metrics registry, which
-// is written under the service's metrics mutex (passed in). The disabled
+// is written under the service's metrics mutex (passed in); its
+// instruments are resolved once at construction. The disabled
 // path is a null RequestTracer* at every call site — one predicted
 // branch, no argument construction (bench_optimizer's
 // BM_RequestTraceOverhead pins this down).
@@ -40,8 +42,6 @@
 #include "svc/frame.h"
 
 namespace flare {
-
-class FlightRecorder;
 
 /// Request phases in timeline order. recv/parse/admit are observed as the
 /// bytes arrive; queue_wait spans sample-landed -> solve-start; solve and
@@ -75,21 +75,21 @@ struct RequestTiming {
 struct RequestTracerOptions {
   /// Hard cap on buffered trace events; past it spans are dropped and
   /// counted (svc.oneapi.trace.dropped_events) instead of growing memory.
+  /// Slow-request exemplars still reach the flight window.
   std::size_t max_events = 1'000'000;
   /// Worst-K exemplars kept per window.
   int exemplar_k = 4;
   /// Ticks per exemplar window; at each window edge the table is flushed
-  /// into the flight recorder and reset.
+  /// into the flight window and reset.
   int exemplar_window_ticks = 64;
 };
 
 class RequestTracer {
  public:
   /// `registry` + `registry_mu` are the service's metrics plane (writes
-  /// are taken under the mutex); `flight` receives slow-request
-  /// exemplars (may be null). None are owned.
+  /// are taken under the mutex). Neither is owned.
   RequestTracer(MetricsRegistry* registry, std::mutex* registry_mu,
-                FlightRecorder* flight, RequestTracerOptions options);
+                RequestTracerOptions options);
 
   /// Microseconds since construction on the steady clock — the server
   /// side of the wire timestamps (TraceContext::server_*_us).
@@ -132,6 +132,9 @@ class RequestTracer {
 
   /// Flush any remaining exemplars, sort, and write the Perfetto JSON.
   bool ExportJson(const std::string& path);
+  /// Flush any remaining exemplars and write the flight dump (reason
+  /// "shutdown"): the worst requests of each window, newest windows last.
+  bool DumpFlight(const std::string& path);
 
  private:
   struct PendingDrain {
@@ -140,14 +143,22 @@ class RequestTracer {
   };
 
   void FinalizeRequest(const RequestTiming& timing);
-  void RecordStage(const char* phase, double value_us);
+  /// Observe one stage histogram (index into kRequestPhaseNames) under
+  /// the registry mutex.
+  void RecordStage(int phase, double value_us);
   bool CanRecord() const { return tracer_.size() < options_.max_events; }
   void CountDroppedEvent();
   void FlushExemplars();
 
   MetricsRegistry* registry_;
   std::mutex* registry_mu_;
-  FlightRecorder* flight_;
+  Histogram* stage_metrics_[kNumRequestPhases];
+  /// p50/p95/p99 per stage. Each is resolved on its stage's first sample,
+  /// so a stage without data stays absent rather than reading 0.
+  Gauge* quantile_metrics_[kNumRequestPhases][3] = {};
+  CounterHandle requests_metric_;
+  CounterHandle requests_dropped_metric_;
+  CounterHandle dropped_events_metric_;
   RequestTracerOptions options_;
   SpanTracer tracer_;
   std::chrono::steady_clock::time_point epoch_;

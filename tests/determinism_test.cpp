@@ -12,7 +12,6 @@
 #include <string>
 
 #include "obs/bai_trace.h"
-#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/qoe_analytics.h"
 #include "obs/span_trace.h"
@@ -67,16 +66,14 @@ struct RunOutput {
 RunOutput RunMulti(MultiCellConfig multi) {
   MetricsRegistry registry;
   BaiTraceSink trace;
-  SpanTracer spans;
+  SpanTracer spans(/*flight_window=*/64);
   RunHealthMonitor health;
   QoeAnalytics qoe;
-  FlightRecorder flight(64);
   multi.metrics = &registry;
   multi.bai_trace = &trace;
   multi.span_trace = &spans;
   multi.health = &health;
   multi.qoe = &qoe;
-  multi.flight = &flight;
 
   RunOutput out;
   out.result = RunMultiCellScenario(multi);
@@ -88,7 +85,7 @@ RunOutput RunMulti(MultiCellConfig multi) {
   trace.WriteJson(json, &registry, nullptr, &qoe);
   out.json = json.str();
   // The merged span trace, run-health report, QoE section and flight
-  // recorder ring are part of the determinism contract too: with
+  // dump are part of the determinism contract too: with
   // deterministic timing their bytes must not depend on scheduling or
   // worker count.
   std::ostringstream span_json;
@@ -101,7 +98,7 @@ RunOutput RunMulti(MultiCellConfig multi) {
   qoe.WriteJson(qoe_json);
   out.qoe = qoe_json.str();
   std::ostringstream flight_json;
-  flight.WriteJson(flight_json);
+  spans.WriteFlightJson(flight_json);
   out.flight = flight_json.str();
   return out;
 }

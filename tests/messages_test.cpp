@@ -153,16 +153,25 @@ TEST(Messages, StatsReportRoundTrip) {
 // Whole numbers above six significant digits used to go out in %.6g form
 // and come back rounded: flow 1000001 decoded as 1000000 (two clients on
 // one id), tx_bytes 2512345 as 2512340, rung 1234567 as 1234570.
-TEST(Messages, WholeNumberFieldsRoundTripExactly) {
+// Every numeric field decodes to the double that was encoded, including
+// the fractional ones (%.6g would send gbr 1358023.7 as 1358020).
+TEST(Messages, NumericFieldsRoundTripExactly) {
   ClientInfo info;
   info.flow = 1000001;
   info.ladder_bps = {250e3, 1234567.0, 9007199254740991.0};  // 2^53 - 1
   info.max_level = 2000000001;
+  VideoUtilityParams utility;
+  utility.beta = 0.1234567;
+  utility.theta_bps = 1234567.89;
+  info.utility = utility;
   const auto client = DecodeClientInfo(EncodeClientInfo(info));
   ASSERT_TRUE(client.has_value());
   EXPECT_EQ(client->flow, 1000001u);
   EXPECT_EQ(client->ladder_bps, info.ladder_bps);
   EXPECT_EQ(client->max_level, 2000000001);
+  ASSERT_TRUE(client->utility.has_value());
+  EXPECT_EQ(client->utility->beta, utility.beta);
+  EXPECT_EQ(client->utility->theta_bps, utility.theta_bps);
 
   RateAssignmentMsg msg;
   msg.flow = 4294967294u;  // largest valid flow id
@@ -174,16 +183,25 @@ TEST(Messages, WholeNumberFieldsRoundTripExactly) {
   EXPECT_EQ(assignment->flow, msg.flow);
   EXPECT_EQ(assignment->level, msg.level);
   EXPECT_EQ(assignment->rate_bps, msg.rate_bps);
+  EXPECT_EQ(assignment->gbr_bps, msg.gbr_bps);
+  // A GBR from the headroom product, as BaiCore computes it.
+  msg.gbr_bps = 1.1 * 1234567.0;
+  EXPECT_EQ(DecodeRateAssignment(EncodeRateAssignment(msg))->gbr_bps,
+            msg.gbr_bps);
 
   FlowStatsReport report;
   report.flow = 1000001;
   report.tx_bytes = 2512345;
   report.rbs = 98765432;
+  report.throughput_bps = 1234567.0;
+  report.rb_utilization = 0.123456789;
   const auto stats = DecodeStatsReport(EncodeStatsReport(report));
   ASSERT_TRUE(stats.has_value());
   EXPECT_EQ(stats->flow, report.flow);
   EXPECT_EQ(stats->tx_bytes, report.tx_bytes);
   EXPECT_EQ(stats->rbs, report.rbs);
+  EXPECT_EQ(stats->throughput_bps, report.throughput_bps);
+  EXPECT_EQ(stats->rb_utilization, report.rb_utilization);
 }
 
 // Values %.6g already printed exactly keep their bytes, so frames from
@@ -201,9 +219,10 @@ TEST(Messages, ShortWholeNumbersKeepTheirBytes) {
   report.flow = 12;
   report.tx_bytes = 2500000;
   report.rbs = 999;
-  report.throughput_bps = 1234567.0;  // not a counter: stays %.6g
+  report.throughput_bps = 1.5e6;
+  report.rb_utilization = 0.25;
   EXPECT_EQ(EncodeStatsReport(report),
-            "class=data;flow=12;rb_util=0;rbs=999;tput=1.23457e+06;"
+            "class=data;flow=12;rb_util=0.25;rbs=999;tput=1.5e+06;"
             "tx_bytes=2.5e+06;type=stats_report");
 
   ClientInfo info;

@@ -21,7 +21,6 @@
 
 #include "churn/admission.h"
 #include "has/mpd.h"
-#include "obs/flight_recorder.h"
 #include "util/json.h"
 #include "lte/cell.h"
 #include "lte/gbr_scheduler.h"
@@ -763,8 +762,6 @@ TEST(OneApiService, TracedRunEchoesEachContextOnceAndExportsSpans) {
   options.trace_json = trace_path;
   options.trace.exemplar_k = 2;
   options.trace.exemplar_window_ticks = 2;
-  FlightRecorder flight;
-  options.flight_recorder = &flight;
   OneApiService service(options);
   ASSERT_TRUE(service.Start());
 
@@ -816,7 +813,7 @@ TEST(OneApiService, TracedRunEchoesEachContextOnceAndExportsSpans) {
   const MetricsSnapshot snapshot = service.SnapshotMetrics();
   EXPECT_EQ(snapshot.counters.at("svc.oneapi.trace.requests"),
             static_cast<std::uint64_t>(kRounds));
-  EXPECT_EQ(snapshot.counters.count("svc.oneapi.trace.superseded"), 0u);
+  EXPECT_EQ(snapshot.counters.at("svc.oneapi.trace.superseded"), 0u);
   // Stage quantile gauges refreshed at tick edges.
   EXPECT_GT(snapshot.gauges.at("svc.oneapi.stage.solve.p99_us"), 0.0);
   EXPECT_TRUE(snapshot.gauges.count("svc.oneapi.stage.queue_wait.p99_us"));

@@ -16,7 +16,6 @@
 
 #include "netio/http_client.h"
 #include "obs/bai_trace.h"
-#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/openmetrics.h"
 #include "obs/qoe_analytics.h"
@@ -323,17 +322,18 @@ TEST(TelemetryHttp, EventsStreamRoundTrip) {
   ASSERT_TRUE(tail.Open(kHost, server.port(), "/events"));
   EXPECT_EQ(tail.status(), 200);
 
-  FlightEvent ev;
-  ev.t_s = 1.5;
-  ev.cell = 3;
+  TraceEvent ev;
+  ev.ts_us = 1.5e6;
+  ev.ph = 'i';
+  ev.pid = 4;  // cell 3
   ev.seq = 9;
-  ev.kind = "rung_change";
+  ev.name = "rung_change";
   ev.flow = 7;
   ev.client = 2;
   ev.value = 3.0;
   ev.args = "{\"from\": 1, \"to\": 2}";
   server.PublishEvents(
-      {RenderFlightEventNdjson(ev), "{\"t_s\": 2.0, \"kind\": \"x\"}"});
+      {RenderEventNdjson(ev), "{\"t_s\": 2.0, \"kind\": \"x\"}"});
 
   std::string chunk;
   ASSERT_TRUE(tail.NextChunk(&chunk));
@@ -455,39 +455,41 @@ TEST(TelemetryHttp, ConcurrentPublishAndScrape) {
 // --- Publisher --------------------------------------------------------------
 
 TEST(TelemetryPublisherBridge, NdjsonGoldenAndCollectSinceInclusive) {
-  FlightEvent ev;
-  ev.t_s = 1.5;
-  ev.cell = 3;
+  TraceEvent ev;
+  ev.ts_us = 1.5e6;
+  ev.ph = 'i';
+  ev.pid = 4;  // cell 3
   ev.seq = 0;
-  ev.kind = "rung_change";
+  ev.name = "rung_change";
   ev.flow = 7;
   ev.client = 2;
   ev.value = 3.0;
   ev.args = "{\"from\": 1}";
-  EXPECT_EQ(RenderFlightEventNdjson(ev),
+  EXPECT_EQ(RenderEventNdjson(ev),
             "{\"t_s\": 1.5, \"cell\": 3, \"seq\": 0, "
             "\"kind\": \"rung_change\", \"flow\": 7, \"client\": 2, "
             "\"value\": 3, \"args\": {\"from\": 1}}");
   ev.args.clear();
-  EXPECT_EQ(RenderFlightEventNdjson(ev).find("args"), std::string::npos);
+  EXPECT_EQ(RenderEventNdjson(ev).find("args"), std::string::npos);
 
   // Seqs start at 0, so the tail cursor is inclusive: from_seq=0 must
   // return the very first event, and the returned cursor is next-unseen.
-  FlightRecorder recorder(16);
-  recorder.Record(1.0, "a");
-  recorder.Record(2.0, "b");
-  std::vector<FlightEvent> out;
-  std::uint64_t next = recorder.CollectEventsSince(0, /*cell=*/5, &out);
+  SpanTracer tracer(16, /*timeline=*/false);
+  tracer.set_default_pid(6);  // cell 5
+  tracer.Instant(kLaneControl, "t", "a", 1e6);
+  tracer.Instant(kLaneControl, "t", "b", 2e6);
+  std::vector<TraceEvent> out;
+  std::uint64_t next = tracer.CollectEventsSince(0, &out);
   EXPECT_EQ(out.size(), 2u);
   EXPECT_EQ(next, 2u);
-  EXPECT_EQ(out[0].cell, 5);
+  EXPECT_EQ(out[0].cell(), 5);
   out.clear();
-  EXPECT_EQ(recorder.CollectEventsSince(next, 5, &out), 2u);
+  EXPECT_EQ(tracer.CollectEventsSince(next, &out), 2u);
   EXPECT_TRUE(out.empty());
-  recorder.Record(3.0, "c");
-  EXPECT_EQ(recorder.CollectEventsSince(next, 5, &out), 3u);
+  tracer.Instant(kLaneControl, "t", "c", 3e6);
+  EXPECT_EQ(tracer.CollectEventsSince(next, &out), 3u);
   ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].t_s, 3.0);
+  EXPECT_EQ(out[0].ts_us, 3e6);
 }
 
 TEST(TelemetryPublisherBridge, PublishNowExportsShardsAndEvents) {
@@ -500,15 +502,16 @@ TEST(TelemetryPublisherBridge, PublishNowExportsShardsAndEvents) {
   shard_metrics.GetCounter("player.segments").Add(5);
   QoeAnalytics qoe;
   RunHealthMonitor health;
-  FlightRecorder flight(16);
-  flight.Record(1.5, "rung_change", 7, 2, 3.0);
+  SpanTracer events(16, /*timeline=*/false);
+  events.Instant(kLaneControl, "decision", "rung_change", 1.5e6, {}, 7, 2,
+                 3.0);
 
   TelemetryPublisher publisher(&server, /*interval_ms=*/1.0);
   ASSERT_TRUE(publisher.enabled());
   publisher.ConfigureRun("unit x1", /*duration_s=*/10.0, /*cells=*/1,
                          /*workers=*/0);
   publisher.SetCoordinatorMetrics(&coordinator);
-  publisher.AddShard({&shard_metrics, &qoe, &health, &flight, "cell0."},
+  publisher.AddShard({&shard_metrics, &qoe, &health, &events, "cell0."},
                      /*cell=*/0);
   publisher.PublishNow(/*sim_time_s=*/5.0);
 
@@ -538,13 +541,13 @@ TEST(TelemetryPublisherBridge, PublishNowExportsShardsAndEvents) {
   EXPECT_EQ(parsed.Find("cells")->AsNumber(), 1.0);
   EXPECT_EQ(parsed.Find("scenario")->AsString(), "unit x1");
 
-  // The flight event was forwarded once; republishing without new events
+  // The instant was forwarded once; republishing without new events
   // forwards nothing (the per-shard cursor advanced).
   EXPECT_TRUE(WaitFor([&] { return server.events_published() == 1; }));
   publisher.PublishNow(6.0);
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_EQ(server.events_published(), 1u);
-  flight.Record(7.0, "stall_start", 7, 2);
+  events.Instant(kLaneControl, "player", "stall_begin", 7e6, {}, 7, 2);
   publisher.PublishNow(8.0);
   EXPECT_TRUE(WaitFor([&] { return server.events_published() == 2; }));
 
@@ -716,16 +719,14 @@ struct RunOutput {
 RunOutput RunMulti(MultiCellConfig multi, TelemetryServer* telemetry) {
   MetricsRegistry registry;
   BaiTraceSink trace;
-  SpanTracer spans;
+  SpanTracer spans(/*flight_window=*/64);
   RunHealthMonitor health;
   QoeAnalytics qoe;
-  FlightRecorder flight(64);
   multi.metrics = &registry;
   multi.bai_trace = &trace;
   multi.span_trace = &spans;
   multi.health = &health;
   multi.qoe = &qoe;
-  multi.flight = &flight;
   multi.telemetry = telemetry;
   // Publish at (virtually) every epoch barrier so the telemetry path is
   // genuinely hot during the comparison run.
@@ -750,7 +751,7 @@ RunOutput RunMulti(MultiCellConfig multi, TelemetryServer* telemetry) {
   qoe.WriteJson(qoe_json);
   out.qoe = qoe_json.str();
   std::ostringstream flight_json;
-  flight.WriteJson(flight_json);
+  spans.WriteFlightJson(flight_json);
   out.flight = flight_json.str();
   return out;
 }

@@ -19,7 +19,6 @@
 #include <thread>
 
 #include "churn/admission.h"
-#include "obs/flight_recorder.h"
 #include "obs/telemetry_server.h"
 #include "svc/oneapi_service.h"
 #include "util/config.h"
@@ -52,8 +51,8 @@ Keys:
   trace_json=PATH      per-request phase spans as Perfetto JSON, written
                        at shutdown; merge with the loadgen's trace via
                        tools/flare_trace (off; off = byte-identical wire)
-  flight_json=PATH     dump the flight recorder (slow-request exemplars)
-                       here at shutdown (off; needs trace_json=)
+  flight_json=PATH     dump the request tracer's flight window (slow-request
+                       exemplars) here at shutdown (off; needs trace_json=)
   duration_s=F         exit after F seconds, 0 = run until signal (0)
 Flags:
   --help               this text
@@ -95,17 +94,15 @@ int main(int argc, char** argv) {
   options.admission.capacity_threshold =
       config.GetDouble("capacity_threshold", 0.9);
 
-  // Request tracing: FlightRecorder receives the worst-K slow-request
-  // exemplars per window; with trace_json unset the service never
-  // constructs a tracer and the wire stays byte-identical.
-  FlightRecorder flight;
+  // Request tracing: the tracer keeps the worst-K slow-request exemplars
+  // per window in its flight window; with trace_json unset the service
+  // never constructs a tracer and the wire stays byte-identical.
   const std::string trace_json =
       config.GetString("trace_json").value_or(std::string());
   const std::string flight_json =
       config.GetString("flight_json").value_or(std::string());
   if (!trace_json.empty()) {
     options.trace_json = trace_json;
-    options.flight_recorder = &flight;
   } else if (!flight_json.empty()) {
     std::fprintf(stderr, "flare_oneapid: flight_json= needs trace_json=\n");
     return 2;
@@ -159,8 +156,7 @@ int main(int argc, char** argv) {
   if (!trace_json.empty()) {
     std::printf("trace: %s (%llu finalized requests)\n", trace_json.c_str(),
                 static_cast<unsigned long long>(service.traced_requests()));
-    if (!flight_json.empty() &&
-        !flight.DumpPostmortem(flight_json, "shutdown")) {
+    if (!flight_json.empty() && !service.DumpFlight(flight_json)) {
       std::fprintf(stderr, "flare_oneapid: cannot write %s\n",
                    flight_json.c_str());
     }
