@@ -526,6 +526,7 @@ int main(int argc, char** argv) {
     rest.bai_trace = nullptr;
     rest.span_trace = nullptr;
     rest.health = nullptr;
+    rest.qoe = nullptr;  // the qoe section and qoe_csv are the first run's
     rest.telemetry = nullptr;  // live view covers the first run only
     rest.seed = config.seed + 1;
     for (const ScenarioResult& r : RunMany(rest, runs - 1)) {

@@ -73,15 +73,17 @@ BaiDecision FlareRateController::DecideBai(
   BaiDecision decision;
   if (observations.empty()) return decision;
 
-  // --- Build problem (3)-(4).
-  OptProblem problem;
+  // --- Build problem (3)-(4) in the reused problem_, so each flow's
+  // ladder copy lands in the capacity its slot kept from earlier BAIs.
+  OptProblem& problem = problem_;
   problem.n_data_flows = std::max(n_data_flows, 0);
   problem.alpha = params_.alpha;
   problem.rb_rate = rb_rate;
   problem.max_video_fraction = params_.max_video_fraction;
 
-  std::vector<FlowCtl*> ctls;
-  std::vector<FlowId> ids;
+  ctls_.clear();
+  ids_.clear();
+  std::size_t n_flows = 0;
   for (const FlowObservation& obs : observations) {
     const auto it = flows_.find(obs.id);
     if (it == flows_.end()) {
@@ -90,7 +92,8 @@ BaiDecision FlareRateController::DecideBai(
       continue;
     }
     FlowCtl& ctl = it->second;
-    OptFlow flow;
+    if (n_flows == problem.flows.size()) problem.flows.emplace_back();
+    OptFlow& flow = problem.flows[n_flows++];
     flow.ladder_bps = ctl.ladder;
     flow.utility = obs.utility.value_or(params_.utility);
     flow.bits_per_rb = std::max(obs.bits_per_rb, 1.0);
@@ -103,11 +106,11 @@ BaiDecision FlareRateController::DecideBai(
       cap = std::min(cap, std::clamp(*obs.client_max_level, 0, top));
     }
     flow.max_level = std::max(cap, 0);
-    problem.flows.push_back(std::move(flow));
-    ctls.push_back(&ctl);
-    ids.push_back(obs.id);
+    ctls_.push_back(&ctl);
+    ids_.push_back(obs.id);
   }
-  if (problem.flows.empty()) return decision;
+  problem.flows.resize(n_flows);
+  if (n_flows == 0) return decision;
 
   // --- Solve (timed: this is Figure 9's measurement).
   problem.span_trace = span_trace_;
@@ -139,8 +142,9 @@ BaiDecision FlareRateController::DecideBai(
 
   // --- Algorithm 1's stability rule per flow.
   double video_rb_cost = 0.0;
+  decision.assignments.reserve(recommended.size());
   for (std::size_t u = 0; u < recommended.size(); ++u) {
-    FlowCtl& ctl = *ctls[u];
+    FlowCtl& ctl = *ctls_[u];
     const int star = recommended[u];
     const int previous = ctl.last_level;
     int next;
@@ -178,7 +182,7 @@ BaiDecision FlareRateController::DecideBai(
     ctl.last_level = next;
 
     RateAssignment assignment;
-    assignment.id = ids[u];
+    assignment.id = ids_[u];
     assignment.level = next;
     assignment.rate_bps = ctl.ladder[static_cast<std::size_t>(next)];
     assignment.recommended_level = star;

@@ -134,6 +134,12 @@ class FlareRateController {
   /// Scratch-reusing SoA solver for kBatchedSweep (stateless between
   /// solves beyond reusable buffers, so flow-set changes need no sync).
   BatchSolver batch_;
+  /// DecideBai's scratch, reused across BAIs: the problem (each flow slot
+  /// keeps its ladder's capacity) and, per problem flow, its control
+  /// state and id.
+  OptProblem problem_;
+  std::vector<FlowCtl*> ctls_;
+  std::vector<FlowId> ids_;
   SpanTracer* span_trace_ = nullptr;
 };
 

@@ -1,31 +1,20 @@
 #include "net/messages.h"
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <sstream>
+#include <system_error>
 #include <vector>
-
-#include "util/csv.h"
 
 namespace flare {
 namespace {
 
 // key=value fields separated by ';'. Values never contain ';' or '='
-// (numbers and comma-joined number lists only).
+// (numbers and comma-joined number lists only). Encoders write the keys
+// in ascending order, the order the decoders' map would list them.
 using Fields = std::map<std::string, std::string>;
-
-std::string Join(const Fields& fields) {
-  std::ostringstream out;
-  bool first = true;
-  for (const auto& [key, value] : fields) {
-    if (!first) out << ';';
-    out << key << '=' << value;
-    first = false;
-  }
-  return out.str();
-}
 
 std::optional<Fields> Split(const std::string& wire) {
   Fields fields;
@@ -45,19 +34,6 @@ std::optional<Fields> Split(const std::string& wire) {
 constexpr double kIntLimit = 2147483648.0;        // 2^31
 constexpr double kUint64Limit = 18446744073709551616.0;  // 2^64
 constexpr double kFlowLimit = static_cast<double>(kInvalidFlow);
-
-/// Every number on the wire decodes back to the double it encodes. The
-/// %.6g form is kept whenever it is exact, so such frames stay
-/// byte-identical with peers that always send %.6g; any other value is
-/// written with the 17 significant digits that always round-trip (whole
-/// numbers below 10^17 then print with all their digits).
-std::string FormatExact(double value) {
-  std::string text = FormatNumber(value);
-  if (std::strtod(text.c_str(), nullptr) == value) return text;
-  char digits[32];
-  std::snprintf(digits, sizeof(digits), "%.17g", value);
-  return digits;
-}
 
 std::optional<double> ParseFinite(const std::string& text) {
   char* end = nullptr;
@@ -105,23 +81,48 @@ std::optional<std::vector<double>> Ladder(const Fields& fields) {
 
 }  // namespace
 
-std::string EncodeClientInfo(const ClientInfo& info) {
-  Fields fields;
-  fields["type"] = "client_info";
-  fields["flow"] = FormatExact(info.flow);
-  std::ostringstream ladder;
-  for (std::size_t i = 0; i < info.ladder_bps.size(); ++i) {
-    if (i > 0) ladder << ',';
-    ladder << FormatExact(info.ladder_bps[i]);
+void AppendExact(double value, std::string* out) {
+  char text[32];  // "-2.2250738585072014e-308" is the longest, at 24
+  auto written = std::to_chars(text, text + sizeof(text), value,
+                               std::chars_format::general, 6);
+  double back = 0.0;
+  const auto read = std::from_chars(text, written.ptr, back);
+  if (read.ec != std::errc{} || back != value) {
+    written = std::to_chars(text, text + sizeof(text), value,
+                            std::chars_format::general, 17);
   }
-  fields["ladder"] = ladder.str();
-  if (info.max_level) fields["max_level"] = FormatExact(*info.max_level);
+  out->append(text, written.ptr);
+}
+
+void AppendClientInfo(const ClientInfo& info, std::string* out) {
   if (info.utility) {
-    fields["beta"] = FormatExact(info.utility->beta);
-    fields["theta"] = FormatExact(info.utility->theta_bps);
+    out->append("beta=");
+    AppendExact(info.utility->beta, out);
+    out->push_back(';');
   }
-  if (info.skimming) fields["skimming"] = "1";
-  return Join(fields);
+  out->append("flow=");
+  AppendExact(info.flow, out);
+  out->append(";ladder=");
+  for (std::size_t i = 0; i < info.ladder_bps.size(); ++i) {
+    if (i > 0) out->push_back(',');
+    AppendExact(info.ladder_bps[i], out);
+  }
+  if (info.max_level) {
+    out->append(";max_level=");
+    AppendExact(*info.max_level, out);
+  }
+  if (info.skimming) out->append(";skimming=1");
+  if (info.utility) {
+    out->append(";theta=");
+    AppendExact(info.utility->theta_bps, out);
+  }
+  out->append(";type=client_info");
+}
+
+std::string EncodeClientInfo(const ClientInfo& info) {
+  std::string out;
+  AppendClientInfo(info, &out);
+  return out;
 }
 
 std::optional<ClientInfo> DecodeClientInfo(const std::string& wire) {
@@ -156,14 +157,22 @@ std::optional<ClientInfo> DecodeClientInfo(const std::string& wire) {
   return info;
 }
 
+void AppendRateAssignment(const RateAssignmentMsg& msg, std::string* out) {
+  out->append("flow=");
+  AppendExact(msg.flow, out);
+  out->append(";gbr=");
+  AppendExact(msg.gbr_bps, out);
+  out->append(";level=");
+  AppendExact(msg.level, out);
+  out->append(";rate=");
+  AppendExact(msg.rate_bps, out);
+  out->append(";type=rate_assignment");
+}
+
 std::string EncodeRateAssignment(const RateAssignmentMsg& msg) {
-  Fields fields;
-  fields["type"] = "rate_assignment";
-  fields["flow"] = FormatExact(msg.flow);
-  fields["level"] = FormatExact(msg.level);
-  fields["rate"] = FormatExact(msg.rate_bps);
-  fields["gbr"] = FormatExact(msg.gbr_bps);
-  return Join(fields);
+  std::string out;
+  AppendRateAssignment(msg, &out);
+  return out;
 }
 
 std::optional<RateAssignmentMsg> DecodeRateAssignment(
@@ -186,16 +195,25 @@ std::optional<RateAssignmentMsg> DecodeRateAssignment(
   return msg;
 }
 
+void AppendStatsReport(const FlowStatsReport& report, std::string* out) {
+  out->append(report.type == FlowType::kVideo ? "class=video" : "class=data");
+  out->append(";flow=");
+  AppendExact(report.flow, out);
+  out->append(";rb_util=");
+  AppendExact(report.rb_utilization, out);
+  out->append(";rbs=");
+  AppendExact(static_cast<double>(report.rbs), out);
+  out->append(";tput=");
+  AppendExact(report.throughput_bps, out);
+  out->append(";tx_bytes=");
+  AppendExact(static_cast<double>(report.tx_bytes), out);
+  out->append(";type=stats_report");
+}
+
 std::string EncodeStatsReport(const FlowStatsReport& report) {
-  Fields fields;
-  fields["type"] = "stats_report";
-  fields["flow"] = FormatExact(report.flow);
-  fields["class"] = report.type == FlowType::kVideo ? "video" : "data";
-  fields["tx_bytes"] = FormatExact(static_cast<double>(report.tx_bytes));
-  fields["rbs"] = FormatExact(static_cast<double>(report.rbs));
-  fields["tput"] = FormatExact(report.throughput_bps);
-  fields["rb_util"] = FormatExact(report.rb_utilization);
-  return Join(fields);
+  std::string out;
+  AppendStatsReport(report, &out);
+  return out;
 }
 
 std::optional<FlowStatsReport> DecodeStatsReport(const std::string& wire) {

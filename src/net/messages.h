@@ -32,13 +32,26 @@ struct RateAssignmentMsg {
   double gbr_bps = 0.0;
 };
 
+/// Append `value` so that it decodes back to exactly that double: in the
+/// `%.6g` form whenever that is exact, so such frames stay byte-identical
+/// with peers that always send `%.6g`, and otherwise with the 17
+/// significant digits (`%.17g`) that always round-trip (whole numbers
+/// below 10^17 then print with all their digits).
+void AppendExact(double value, std::string* out);
+
+// Each Append* writes one message onto the end of `out` (no allocation
+// once `out` has the capacity); Encode* returns it as a fresh string.
+// Keys are written in ascending order.
+void AppendClientInfo(const ClientInfo& info, std::string* out);
 std::string EncodeClientInfo(const ClientInfo& info);
 std::optional<ClientInfo> DecodeClientInfo(const std::string& wire);
 
+void AppendRateAssignment(const RateAssignmentMsg& msg, std::string* out);
 std::string EncodeRateAssignment(const RateAssignmentMsg& msg);
 std::optional<RateAssignmentMsg> DecodeRateAssignment(
     const std::string& wire);
 
+void AppendStatsReport(const FlowStatsReport& report, std::string* out);
 std::string EncodeStatsReport(const FlowStatsReport& report);
 std::optional<FlowStatsReport> DecodeStatsReport(const std::string& wire);
 

@@ -71,6 +71,19 @@ class TcpConnection {
 
   /// Append to the outbox (no syscall; call Flush to push).
   void Queue(std::string_view data) { outbox_.append(data); }
+  /// Encode in place: `write(&outbox)` appends one message to the
+  /// outbox. It is kept when no more than `limit` bytes are then pending,
+  /// and rolled back otherwise. Returns the bytes queued (0 = refused).
+  template <typename Write>
+  std::size_t QueueWithin(std::size_t limit, Write&& write) {
+    const std::size_t before = outbox_.size();
+    write(&outbox_);
+    if (pending_bytes() > limit) {
+      outbox_.resize(before);
+      return 0;
+    }
+    return outbox_.size() - before;
+  }
   /// Write as much queued data as the socket accepts (MSG_NOSIGNAL —
   /// a dead peer surfaces as kError, never SIGPIPE). kOk when the outbox
   /// is empty afterwards, kWouldBlock when bytes remain.

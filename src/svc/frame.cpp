@@ -1,6 +1,7 @@
 #include "svc/frame.h"
 
 #include <cassert>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -68,20 +69,26 @@ bool ParseHex64(const std::string& text, std::uint64_t* out) {
   return true;
 }
 
+void AppendInt(std::int64_t value, std::string* out) {
+  char digits[24];
+  const auto written = std::to_chars(digits, digits + sizeof(digits), value);
+  out->append(digits, written.ptr);
+}
+
 void AppendTraceTrailer(const TraceContext& trace, std::string* out) {
-  char id[17];
-  std::snprintf(id, sizeof(id), "%016llx",
-                static_cast<unsigned long long>(trace.trace_id));
-  out->push_back('\0');
-  out->append("trace=");
-  out->append(id);
+  char id[16];
+  const auto written =
+      std::to_chars(id, id + sizeof(id), trace.trace_id, 16);
+  out->append("\0trace=", 7);
+  out->append(sizeof(id) - static_cast<std::size_t>(written.ptr - id), '0');
+  out->append(id, written.ptr);
   out->append(";ts=");
-  out->append(std::to_string(trace.client_send_us));
+  AppendInt(trace.client_send_us, out);
   if (trace.server_recv_us != 0 || trace.server_send_us != 0) {
     out->append(";srx=");
-    out->append(std::to_string(trace.server_recv_us));
+    AppendInt(trace.server_recv_us, out);
     out->append(";stx=");
-    out->append(std::to_string(trace.server_send_us));
+    AppendInt(trace.server_send_us, out);
   }
 }
 
@@ -137,20 +144,22 @@ void AppendFrame(FrameType type, std::string_view payload, std::string* out) {
 
 void AppendFrame(FrameType type, std::string_view payload,
                  const TraceContext* trace, std::string* out) {
-  std::string body(payload);
-  if (trace != nullptr) AppendTraceTrailer(*trace, &body);
-  assert(body.size() <= kMaxFramePayload);
-  const std::uint32_t length = static_cast<std::uint32_t>(body.size()) + 1;
-  char header[kHeaderBytes + 1];
+  // Header first with a placeholder length, patched once the body (the
+  // payload plus any trailer) is in place.
+  const std::size_t start = out->size();
+  out->append(kHeaderBytes + 1, '\0');
+  out->append(payload);
+  if (trace != nullptr) AppendTraceTrailer(*trace, out);
+  const std::size_t body = out->size() - start - kHeaderBytes - 1;
+  assert(body <= kMaxFramePayload);
+  const std::uint32_t length = static_cast<std::uint32_t>(body) + 1;
+  char* header = out->data() + start;
   header[0] = static_cast<char>(length & 0xff);
   header[1] = static_cast<char>((length >> 8) & 0xff);
   header[2] = static_cast<char>((length >> 16) & 0xff);
   header[3] = static_cast<char>((length >> 24) & 0xff);
-  const std::uint8_t raw = static_cast<std::uint8_t>(type) |
-                           (trace != nullptr ? kFrameTraceExtBit : 0);
-  header[4] = static_cast<char>(raw);
-  out->append(header, kHeaderBytes + 1);
-  out->append(body.data(), body.size());
+  header[4] = static_cast<char>(static_cast<std::uint8_t>(type) |
+                                (trace != nullptr ? kFrameTraceExtBit : 0));
 }
 
 std::string EncodeFrame(FrameType type, std::string_view payload) {

@@ -83,12 +83,13 @@ struct Frame {
   bool unknown_ext = false;
 };
 
-/// Append one encoded frame to `out` (header + payload). Payloads longer
-/// than kMaxFramePayload are truncated-by-contract: callers never build
-/// them; an assert guards debug builds. The `trace` overloads append the
-/// trace-context trailer and set kFrameTraceExtBit; passing nullptr (or
-/// using the base overload) encodes byte-identically to the
-/// pre-extension protocol.
+/// Append one encoded frame to `out` (header + payload), written in
+/// place: no intermediate copy, so `payload` must not view into `out`.
+/// Payloads longer than kMaxFramePayload are truncated-by-contract:
+/// callers never build them; an assert guards debug builds. The `trace`
+/// overloads append the trace-context trailer and set kFrameTraceExtBit;
+/// passing nullptr (or using the base overload) encodes byte-identically
+/// to the pre-extension protocol.
 void AppendFrame(FrameType type, std::string_view payload, std::string* out);
 void AppendFrame(FrameType type, std::string_view payload,
                  const TraceContext* trace, std::string* out);

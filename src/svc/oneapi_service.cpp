@@ -8,6 +8,7 @@
 #include <cassert>
 #include <chrono>
 #include <future>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <thread>
@@ -32,16 +33,28 @@ struct SessionConn {
   explicit SessionConn(int fd) : conn(fd) {}
   TcpConnection conn;
   FlowId flow = kInvalidFlow;
-  /// Cumulative bytes ever handed to Queue(); `queued_bytes -
-  /// pending_bytes()` is the cumulative flushed count the tracer uses as
-  /// the outbox-drain watermark.
+  /// The epoll mask last registered for this fd (0 = none yet).
+  std::uint32_t interest = 0;
+  /// Cumulative bytes ever queued; `queued_bytes - pending_bytes()` is
+  /// the cumulative flushed count the tracer uses as the outbox-drain
+  /// watermark.
   std::uint64_t queued_bytes = 0;
   std::uint64_t drained_bytes() const {
     return queued_bytes - conn.pending_bytes();
   }
-  void QueueFrame(const std::string& frame) {
-    queued_bytes += frame.size();
-    conn.Queue(frame);
+  /// Encode one frame straight into the outbox, unless that would leave
+  /// more than `limit` bytes pending: then nothing is queued and the
+  /// result is false.
+  bool QueueFrame(
+      FrameType type, std::string_view payload,
+      const TraceContext* trace = nullptr,
+      std::size_t limit = std::numeric_limits<std::size_t>::max()) {
+    const std::size_t queued =
+        conn.QueueWithin(limit, [&](std::string* out) {
+          AppendFrame(type, payload, trace, out);
+        });
+    queued_bytes += queued;
+    return queued > 0;
   }
 };
 
@@ -50,7 +63,8 @@ struct SessionConn {
 /// BAI tick, the delivery connection and the pending trace echo.
 struct Session {
   std::optional<double> pending_sample;
-  int conn_fd = -1;
+  /// Owned by `conns`; the session is erased when this connection closes.
+  SessionConn* conn = nullptr;
   /// Trace context of the latest traced stats report, waiting to be
   /// echoed on (and attributed to) the next assignment. Lives in the
   /// session — not the tracer — because the wire echo works even when
@@ -119,6 +133,9 @@ struct OneApiService::Impl {
   /// Server clock origin for the srx/stx wire echo when the tracer is
   /// off (a traced client still deserves aligned timestamps back).
   std::chrono::steady_clock::time_point epoch;
+  /// The tick encodes each assignment's payload here, reused across
+  /// assignments and BAIs.
+  std::string assignment_payload;
 
   double NowUs() const {
     if (tracer != nullptr) return tracer->now_us();
@@ -164,6 +181,9 @@ struct OneApiService::Impl {
       MakeHistogramHandle(&registry, "svc.oneapi.solve_us", kMicrosBounds);
   HistogramHandle tick_us_metric =
       MakeHistogramHandle(&registry, "svc.oneapi.tick_us", kMicrosBounds);
+  /// From the end of the solve to the last assignment handed to send().
+  HistogramHandle fanout_us_metric =
+      MakeHistogramHandle(&registry, "svc.oneapi.fanout_us", kMicrosBounds);
   GaugeHandle video_fraction_metric =
       MakeGaugeHandle(&registry, "svc.oneapi.video_fraction");
   GaugeHandle sessions_metric =
@@ -217,9 +237,8 @@ void OneApiService::Impl::OnAccept() {
       std::lock_guard<std::mutex> lock(metrics_mu);
       connections_metric.Add();
     }
-    conns.emplace(fd, std::make_unique<SessionConn>(fd));
-    loop.Watch(fd, EpollLoop::kReadable | EpollLoop::kError,
-               [this, fd](std::uint32_t events) { OnConnIo(fd, events); });
+    UpdateInterest(*conns.emplace(fd, std::make_unique<SessionConn>(fd))
+                        .first->second);
   }
 }
 
@@ -372,13 +391,13 @@ void OneApiService::Impl::HandleClientInfo(SessionConn& sc,
   }
 
   Session session;
-  session.conn_fd = sc.conn.fd();
+  session.conn = &sc;
   sessions[info->flow] = std::move(session);
   sc.flow = info->flow;
   session_count.store(sessions.size(), std::memory_order_relaxed);
   CountVerdict(nullptr);
   record_admit(true);
-  sc.QueueFrame(EncodeFrame(FrameType::kWelcome, EncodeWelcome(info->flow)));
+  sc.QueueFrame(FrameType::kWelcome, EncodeWelcome(info->flow));
   sc.conn.Flush();
   NotifyFlushed(sc);
   UpdateInterest(sc);
@@ -438,7 +457,7 @@ void OneApiService::Impl::SendOverloadAndClose(SessionConn& sc,
     std::lock_guard<std::mutex> lock(metrics_mu);
     malformed_rejects_metric.Add();
   }
-  sc.QueueFrame(EncodeFrame(FrameType::kOverload, EncodeOverload(info)));
+  sc.QueueFrame(FrameType::kOverload, EncodeOverload(info));
   sc.conn.CloseAfterFlush();
   sc.conn.Flush();
   if (sc.conn.FlushedAndDone()) {
@@ -456,6 +475,8 @@ void OneApiService::Impl::NotifyFlushed(SessionConn& sc) {
 void OneApiService::Impl::UpdateInterest(SessionConn& sc) {
   std::uint32_t mask = EpollLoop::kReadable | EpollLoop::kError;
   if (sc.conn.pending_bytes() > 0) mask |= EpollLoop::kWritable;
+  if (mask == sc.interest) return;
+  sc.interest = mask;
   const int fd = sc.conn.fd();
   loop.Watch(fd, mask, [this, fd](std::uint32_t ev) { OnConnIo(fd, ev); });
 }
@@ -469,7 +490,8 @@ void OneApiService::Impl::TeardownConn(int fd) {
   const FlowId flow = it->second->flow;
   if (flow != kInvalidFlow) {
     const auto session = sessions.find(flow);
-    if (session != sessions.end() && session->second.conn_fd == fd) {
+    if (session != sessions.end() &&
+        session->second.conn == it->second.get()) {
       sessions.erase(session);
       core.Depart(flow);
       session_count.store(sessions.size(), std::memory_order_relaxed);
@@ -529,6 +551,7 @@ void OneApiService::Impl::Tick() {
   double solve_start_us = 0.0;
   double solve_span_us = 0.0;
   std::size_t n_assignments = 0;
+  double fanout_us = 0.0;
   if (!observations.empty()) {
     solve_start_us = tracer != nullptr ? tracer->now_us() : 0.0;
     const BaiDecision decision =
@@ -538,18 +561,25 @@ void OneApiService::Impl::Tick() {
         tracer != nullptr ? tracer->now_us() - solve_start_us : 0.0;
     n_assignments = decision.assignments.size();
 
-    // --- Fan out: one kAssignment frame per flow, bounded outbox. A full
-    // buffer drops this BAI's frame for that client only (counted); the
-    // tick itself never waits on anyone's socket.
+    const auto fanout_start = std::chrono::steady_clock::now();
+
+    // --- Fan out: one kAssignment frame per flow, encoded into the reused
+    // payload buffer and from there straight into the connection's
+    // bounded outbox. A full outbox drops this BAI's frame for that client
+    // only (counted); the tick itself never waits on anyone's socket.
+    // Assignments come in ascending FlowId, as `sessions` is ordered, so a
+    // cursor finds each one's session without a lookup.
+    auto cursor = sessions.begin();
     for (const RateAssignment& a : decision.assignments) {
-      const auto session = sessions.find(a.id);
-      if (session == sessions.end()) continue;
-      const auto conn = conns.find(session->second.conn_fd);
-      if (conn == conns.end()) continue;
-      Session& sess = session->second;
+      while (cursor != sessions.end() && cursor->first < a.id) ++cursor;
+      if (cursor == sessions.end() || cursor->first != a.id) continue;
+      // Step past first: a teardown below erases this session.
+      Session& sess = (cursor++)->second;
+      SessionConn& sc = *sess.conn;
       const double encode_start_us =
           tracer != nullptr && sess.pending_trace ? tracer->now_us() : 0.0;
-      const RateAssignmentMsg msg = core.Assignment(a);
+      assignment_payload.clear();
+      AppendRateAssignment(core.Assignment(a), &assignment_payload);
       // Echo the client's trace context (with our receive/transmit
       // stamps) on the assignment that answers it — whether or not
       // server-side tracing is on. Untraced clients get byte-identical
@@ -561,11 +591,8 @@ void OneApiService::Impl::Tick() {
         echo.server_send_us = static_cast<std::int64_t>(NowUs());
         echo_ptr = &echo;
       }
-      const std::string frame = EncodeFrame(
-          FrameType::kAssignment, EncodeRateAssignment(msg), echo_ptr);
-      SessionConn& sc = *conn->second;
-      if (sc.conn.pending_bytes() + frame.size() >
-          options.connection_buffer_limit) {
+      if (!sc.QueueFrame(FrameType::kAssignment, assignment_payload, echo_ptr,
+                         options.connection_buffer_limit)) {
         assignments_dropped.fetch_add(1, std::memory_order_relaxed);
         if (tracer != nullptr && sess.pending_trace) {
           tracer->OnAssignmentDropped(a.id);
@@ -575,7 +602,6 @@ void OneApiService::Impl::Tick() {
         assignments_dropped_metric.Add();
         continue;
       }
-      sc.QueueFrame(frame);
       if (tracer != nullptr && sess.pending_trace) {
         RequestTiming timing = *sess.pending_trace;
         const double send_us = tracer->now_us();
@@ -600,6 +626,12 @@ void OneApiService::Impl::Tick() {
       NotifyFlushed(sc);
       UpdateInterest(sc);
     }
+    if (!options.deterministic_timing) {
+      fanout_us = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                      std::chrono::steady_clock::now() - fanout_start)
+                      .count() /
+                  1e3;
+    }
 
     const double solve_us =
         options.deterministic_timing
@@ -623,6 +655,7 @@ void OneApiService::Impl::Tick() {
     std::lock_guard<std::mutex> lock(metrics_mu);
     bais_metric.Add();
     tick_us_metric.Observe(tick_us);
+    fanout_us_metric.Observe(fanout_us);
   }
   if (tracer != nullptr) {
     tracer->EndTick(tick_start_us, solve_start_us, solve_span_us,
@@ -649,8 +682,7 @@ void OneApiService::Impl::PublishTelemetry() {
 
 void OneApiService::Impl::ShutdownOnLoop() {
   for (auto& [fd, sc] : conns) {
-    sc->QueueFrame(
-        EncodeFrame(FrameType::kOverload, EncodeOverload(Overload("shutdown"))));
+    sc->QueueFrame(FrameType::kOverload, EncodeOverload(Overload("shutdown")));
     sc->conn.Flush();  // best effort
     if (tracer != nullptr) {
       tracer->OnConnClosed(fd, sc->drained_bytes(), tracer->now_us());

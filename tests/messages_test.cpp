@@ -5,7 +5,15 @@
 // peer parses identically, and an old peer's bytes parse unchanged here.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <limits>
+#include <map>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "net/messages.h"
 #include "svc/frame.h"
@@ -619,6 +627,283 @@ TEST(FrameInterop, FuzzedExtTrailersNeverCrash) {
     } else {
       EXPECT_EQ(status, FrameParseStatus::kError);
     }
+  }
+}
+
+
+// ---------------------------------------------------------------------
+// Wire identity: the in-place encoders against the map-based ones they
+// replaced. The oracle below is the earlier encoder kept verbatim in
+// spirit: a std::map of string fields joined by an ostringstream, each
+// number printed with snprintf("%.6g") unless strtod says that loses it,
+// then "%.17g". Every byte the new encoders write must match it.
+// ---------------------------------------------------------------------
+
+namespace oracle {
+
+using Fields = std::map<std::string, std::string>;
+
+std::string Join(const Fields& fields) {
+  std::ostringstream out;
+  bool first = true;
+  for (const auto& [key, value] : fields) {
+    if (!first) out << ';';
+    out << key << '=' << value;
+    first = false;
+  }
+  return out.str();
+}
+
+std::string FormatExact(double value) {
+  char text[32];
+  std::snprintf(text, sizeof(text), "%.6g", value);
+  if (std::strtod(text, nullptr) == value) return text;
+  std::snprintf(text, sizeof(text), "%.17g", value);
+  return text;
+}
+
+std::string EncodeClientInfo(const ClientInfo& info) {
+  Fields fields;
+  fields["type"] = "client_info";
+  fields["flow"] = FormatExact(info.flow);
+  std::ostringstream ladder;
+  for (std::size_t i = 0; i < info.ladder_bps.size(); ++i) {
+    if (i > 0) ladder << ',';
+    ladder << FormatExact(info.ladder_bps[i]);
+  }
+  fields["ladder"] = ladder.str();
+  if (info.max_level) fields["max_level"] = FormatExact(*info.max_level);
+  if (info.utility) {
+    fields["beta"] = FormatExact(info.utility->beta);
+    fields["theta"] = FormatExact(info.utility->theta_bps);
+  }
+  if (info.skimming) fields["skimming"] = "1";
+  return Join(fields);
+}
+
+std::string EncodeRateAssignment(const RateAssignmentMsg& msg) {
+  Fields fields;
+  fields["type"] = "rate_assignment";
+  fields["flow"] = FormatExact(msg.flow);
+  fields["level"] = FormatExact(msg.level);
+  fields["rate"] = FormatExact(msg.rate_bps);
+  fields["gbr"] = FormatExact(msg.gbr_bps);
+  return Join(fields);
+}
+
+std::string EncodeStatsReport(const FlowStatsReport& report) {
+  Fields fields;
+  fields["type"] = "stats_report";
+  fields["flow"] = FormatExact(report.flow);
+  fields["class"] = report.type == FlowType::kVideo ? "video" : "data";
+  fields["tx_bytes"] = FormatExact(static_cast<double>(report.tx_bytes));
+  fields["rbs"] = FormatExact(static_cast<double>(report.rbs));
+  fields["tput"] = FormatExact(report.throughput_bps);
+  fields["rb_util"] = FormatExact(report.rb_utilization);
+  return Join(fields);
+}
+
+std::string EncodeFrame(FrameType type, const std::string& payload,
+                        const TraceContext* trace) {
+  std::string body = payload;
+  if (trace != nullptr) {
+    char id[17];
+    std::snprintf(id, sizeof(id), "%016llx",
+                  static_cast<unsigned long long>(trace->trace_id));
+    body.push_back('\0');
+    body += "trace=" + std::string(id) +
+            ";ts=" + std::to_string(trace->client_send_us);
+    if (trace->server_recv_us != 0 || trace->server_send_us != 0) {
+      body += ";srx=" + std::to_string(trace->server_recv_us) +
+              ";stx=" + std::to_string(trace->server_send_us);
+    }
+  }
+  const std::uint32_t length = static_cast<std::uint32_t>(body.size()) + 1;
+  std::string out;
+  for (int shift = 0; shift < 32; shift += 8) {
+    out.push_back(static_cast<char>((length >> shift) & 0xff));
+  }
+  out.push_back(static_cast<char>(static_cast<std::uint8_t>(type) |
+                                  (trace != nullptr ? kFrameTraceExtBit : 0)));
+  return out + body;
+}
+
+}  // namespace oracle
+
+/// The seeded corpus: random finite bit patterns, whole numbers up to and
+/// past 1e17, ladder rates and their 1.1x GBR headroom, subnormals, and
+/// edge values (±0, the extremes, infinities, NaN).
+std::vector<double> WireCorpus(std::size_t size) {
+  Rng rng(2017);
+  std::vector<double> corpus = {0.0,
+                                -0.0,
+                                1.0,
+                                -1.0,
+                                std::numeric_limits<double>::max(),
+                                std::numeric_limits<double>::lowest(),
+                                std::numeric_limits<double>::min(),
+                                std::numeric_limits<double>::denorm_min(),
+                                -std::numeric_limits<double>::denorm_min(),
+                                std::numeric_limits<double>::epsilon(),
+                                1e17,
+                                1e17 + 16.0,
+                                9007199254740993.0,
+                                std::numeric_limits<double>::infinity(),
+                                -std::numeric_limits<double>::infinity(),
+                                std::numeric_limits<double>::quiet_NaN()};
+  const std::vector<double> ladder_kbps = {100,  150,  200,  250,  300,  400,
+                                           500,  700,  900,  1200, 1500, 2000,
+                                           2500, 3000, 4000, 5000};
+  auto bits = [&] { return rng.engine()(); };
+  while (corpus.size() < size) {
+    switch (corpus.size() % 5) {
+      case 0: {  // any finite bit pattern
+        const double value = std::bit_cast<double>(bits());
+        if (std::isfinite(value)) corpus.push_back(value);
+        break;
+      }
+      case 1: {  // whole numbers of 1 to 20 digits
+        const int digits = static_cast<int>(rng.UniformInt(1, 20));
+        corpus.push_back(std::floor(rng.Uniform() * std::pow(10.0, digits)));
+        break;
+      }
+      case 2: {  // ladder rates, a random kbps rate, and 1.1x of either
+        const double rate =
+            rng.UniformInt(0, 1) == 0
+                ? ladder_kbps[static_cast<std::size_t>(rng.UniformInt(
+                      0, static_cast<std::int64_t>(ladder_kbps.size()) - 1))] *
+                      1e3
+                : static_cast<double>(rng.UniformInt(1, 20000)) * 1e3;
+        corpus.push_back(rng.UniformInt(0, 1) == 0 ? rate : rate * 1.1);
+        break;
+      }
+      case 3: {  // subnormals of either sign
+        const std::uint64_t mantissa = bits() & ((1ULL << 52) - 1);
+        const std::uint64_t sign = bits() & (1ULL << 63);
+        corpus.push_back(std::bit_cast<double>(mantissa | sign));
+        break;
+      }
+      default:  // moderate magnitudes with a fraction
+        corpus.push_back(rng.Uniform(-1.0, 1.0) *
+                         std::pow(10.0, rng.UniformInt(-8, 12)));
+        break;
+    }
+  }
+  return corpus;
+}
+
+TEST(WireIdentity, EncodersMatchMapOracleOnSeededCorpus) {
+  const std::vector<double> corpus = WireCorpus(1 << 20);
+  Rng rng(2018);
+  std::size_t mismatches = 0;
+  auto check = [&](const std::string& got, const std::string& want) {
+    if (got == want) return;
+    if (++mismatches <= 5) ADD_FAILURE() << got << "\n  != " << want;
+  };
+  // Each round encodes ten corpus values: two in an assignment, two in a
+  // stats report, six in a client info.
+  for (std::size_t i = 0; i + 10 <= corpus.size(); i += 10) {
+    const double* v = &corpus[i];
+    // Flow ids are whole numbers below kInvalidFlow; uint64 counters run
+    // to their full range.
+    const auto flow = static_cast<FlowId>(
+        rng.UniformInt(0, static_cast<std::int64_t>(kInvalidFlow) - 1));
+    const int digits = static_cast<int>(rng.UniformInt(0, 19));
+    const std::uint64_t count =
+        digits == 19 ? rng.engine()()
+                     : rng.engine()() % static_cast<std::uint64_t>(
+                                            std::pow(10.0, digits));
+
+    RateAssignmentMsg msg;
+    msg.flow = flow;
+    msg.level = static_cast<int>(rng.UniformInt(0, 2000000000));
+    msg.rate_bps = v[0];
+    msg.gbr_bps = v[1];
+    check(EncodeRateAssignment(msg), oracle::EncodeRateAssignment(msg));
+
+    FlowStatsReport report;
+    report.flow = flow;
+    report.type = i % 20 == 0 ? FlowType::kVideo : FlowType::kData;
+    report.tx_bytes = count;
+    report.rbs = count / 3;
+    report.throughput_bps = v[2];
+    report.rb_utilization = v[3];
+    check(EncodeStatsReport(report), oracle::EncodeStatsReport(report));
+
+    ClientInfo info;
+    info.flow = flow;
+    info.ladder_bps.assign(v + 4, v + 8);
+    VideoUtilityParams utility;
+    utility.beta = v[8];
+    utility.theta_bps = v[9];
+    info.utility = utility;
+    if (i % 30 == 0) info.max_level = msg.level;
+    info.skimming = i % 70 == 0;
+    check(EncodeClientInfo(info), oracle::EncodeClientInfo(info));
+    if (i % 70 == 0) {  // the optional fields absent, a short ladder
+      info.utility.reset();
+      info.ladder_bps.resize((i / 70) % 3);
+      check(EncodeClientInfo(info), oracle::EncodeClientInfo(info));
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(WireIdentity, AppendersKeepWhatOutAlreadyHolds) {
+  RateAssignmentMsg msg;
+  msg.flow = 7;
+  msg.level = 2;
+  msg.rate_bps = 500e3;
+  msg.gbr_bps = 550e3;
+  std::string out = "prefix|";
+  AppendRateAssignment(msg, &out);
+  EXPECT_EQ(out, "prefix|" + EncodeRateAssignment(msg));
+  out.clear();
+  AppendExact(0.1, &out);
+  out.push_back(' ');
+  AppendExact(1.0 / 3.0, &out);
+  EXPECT_EQ(out, "0.1 0.33333333333333331");
+}
+
+// The frame bytes, pinned literally and against the oracle: header,
+// payload, and the trace trailer with and without the server stamps.
+TEST(WireIdentity, AppendFrameBytesArePinned) {
+  using namespace std::string_literals;
+  std::string out = "xy";
+  AppendFrame(FrameType::kAssignment, "flow=1", &out);
+  EXPECT_EQ(out, "xy\x07\0\0\0\x05"s "flow=1");
+
+  TraceContext ctx;
+  ctx.trace_id = 0xab;
+  ctx.client_send_us = -5;
+  out.clear();
+  AppendFrame(FrameType::kStatsReport, "a=1", &ctx, &out);
+  EXPECT_EQ(out, "\x21\0\0\0\x82"s "a=1\0trace=00000000000000ab;ts=-5"s);
+
+  ctx.trace_id = 0xfedcba9876543210ULL;
+  ctx.client_send_us = 123;
+  ctx.server_recv_us = 456;
+  ctx.server_send_us = 789;
+  EXPECT_EQ(EncodeFrame(FrameType::kAssignment, "", &ctx),
+            "\x2f\0\0\0\x85"s
+            "\0trace=fedcba9876543210;ts=123;srx=456;stx=789"s);
+
+  Rng rng(2019);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const auto type = static_cast<FrameType>(rng.UniformInt(1, 6));
+    const std::string payload = RandomPayload(&rng, 300);
+    EXPECT_EQ(EncodeFrame(type, payload),
+              oracle::EncodeFrame(type, payload, nullptr));
+    TraceContext trace;
+    trace.trace_id = rng.engine()() >> rng.UniformInt(0, 63);
+    trace.client_send_us =
+        static_cast<std::int64_t>(rng.engine()()) >> rng.UniformInt(0, 63);
+    if (trial % 2 == 0) {
+      trace.server_recv_us = std::numeric_limits<std::int64_t>::min();
+      trace.server_send_us = std::numeric_limits<std::int64_t>::max();
+    }
+    EXPECT_EQ(EncodeFrame(type, payload, &trace),
+              oracle::EncodeFrame(type, payload, &trace));
   }
 }
 

@@ -1032,6 +1032,12 @@ TEST(LoadGen, ChurnedRunAgainstLiveServiceCompletes) {
   ExpectServiceLedgerBalances(service_metrics);
   EXPECT_EQ(CounterOr0(service_metrics, "svc.oneapi.arrivals"),
             options.sessions);
+  // The fan-out split is observed once per BAI, empty ones included.
+  EXPECT_EQ(service_metrics.histograms.at("svc.oneapi.fanout_us").count,
+            CounterOr0(service_metrics, "svc.oneapi.bais"));
+  EXPECT_EQ(service_metrics.histograms.at("svc.oneapi.fanout_us").count,
+            service.bais());
+  EXPECT_GT(CounterOr0(service_metrics, "svc.oneapi.bais"), 0u);
   EXPECT_EQ(CounterOr0(service_metrics, "svc.oneapi.malformed_rejects"), 0u);
 
   // The SLO gauges flare_report watches must be present in the export.
