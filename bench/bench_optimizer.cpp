@@ -1,7 +1,7 @@
 // Microbenchmarks (google-benchmark) for the bitrate optimizer — the
 // per-solve costs behind Figure 9, measured in isolation: the continuous
 // KKT/bisection solver, the greedy discrete solver, and Algorithm 1's
-// full DecideBai path.
+// full DecideBai path through the production solvers.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -62,28 +62,76 @@ void BM_SolveGreedy(benchmark::State& state) {
 }
 BENCHMARK(BM_SolveGreedy)->Arg(8)->Arg(32)->Arg(64)->Arg(128);
 
+// One steady-state BAI of Algorithm 1 through the production solvers:
+// greedy for the paper's cells (range(1) == 0) and the batched sweep for
+// churned cells and the daemon (range(1) == 1). Every iteration starts
+// from an identical controller: a fresh one whose flows are walked up to
+// their steady rungs untimed (delta = 0 adopts each one-rung increase at
+// once, so this takes at most a ladder's length of BAIs; delta only picks
+// the stability rule's branch, not the problem). Only the BAI after that
+// is timed, and it is split into solve_us (the solver call, as
+// BaiDecision::solve_time reports it) and build_us (the rest: problem
+// build plus the stability rule). The RB budget grows with the flow
+// count, 3125 RB/s per flow as in MakeProblem: under a fixed budget the
+// large sizes turn degenerate (at 25000 RB/s, 128 flows at the 100 kbps
+// floor do not fit, and the solve ends at once as infeasible).
 void BM_DecideBai(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   FlareParams params;
-  params.solver = SolverMode::kContinuousRelaxation;
-  FlareRateController controller(params);
+  params.delta = 0;
+  params.solver = state.range(1) == 0 ? SolverMode::kGreedyDiscrete
+                                      : SolverMode::kBatchedSweep;
   std::vector<double> ladder;
   for (double kbps : DenseLadderKbps()) ladder.push_back(kbps * 1000.0);
+  const double rb_rate = 3'125.0 * n;
   Rng rng(3);
   std::vector<FlowObservation> observations;
   for (int i = 0; i < n; ++i) {
-    controller.AddFlow(static_cast<FlowId>(i + 1), ladder);
     FlowObservation obs;
     obs.id = static_cast<FlowId>(i + 1);
     obs.bits_per_rb = rng.Uniform(100.0, 600.0);
     observations.push_back(obs);
   }
+  double solve_ns = 0.0;
+  double total_ns = 0.0;
+  int feasible = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        controller.DecideBai(observations, 2, 25'000.0));
+    FlareRateController controller(params);
+    for (const FlowObservation& obs : observations) {
+      controller.AddFlow(obs.id, ladder);
+    }
+    for (std::size_t bai = 0; bai <= ladder.size(); ++bai) {
+      controller.DecideBai(observations, 2, rb_rate);
+    }
+    const auto start = std::chrono::steady_clock::now();
+    const BaiDecision decision = controller.DecideBai(observations, 2, rb_rate);
+    const std::chrono::duration<double, std::nano> elapsed =
+        std::chrono::steady_clock::now() - start;
+    state.SetIterationTime(elapsed.count() * 1e-9);
+    total_ns += elapsed.count();
+    solve_ns += static_cast<double>(decision.solve_time.count());
+    feasible += decision.feasible ? 1 : 0;
+    benchmark::DoNotOptimize(decision);
   }
+  state.counters["solve_us"] =
+      benchmark::Counter(solve_ns * 1e-3, benchmark::Counter::kAvgIterations);
+  state.counters["build_us"] = benchmark::Counter(
+      (total_ns - solve_ns) * 1e-3, benchmark::Counter::kAvgIterations);
+  state.counters["feasible"] =
+      benchmark::Counter(feasible, benchmark::Counter::kAvgIterations);
 }
-BENCHMARK(BM_DecideBai)->Arg(8)->Arg(32)->Arg(64)->Arg(128);
+// A fixed iteration count: each iteration replays its untimed warm-up,
+// which the manual timer leaves out but the wall clock does not.
+BENCHMARK(BM_DecideBai)
+    ->ArgNames({"flows", "batched"})
+    ->Args({8, 0})
+    ->Args({32, 0})
+    ->Args({8, 1})
+    ->Args({64, 1})
+    ->Args({128, 1})
+    ->Args({1000, 1})
+    ->UseManualTime()
+    ->Iterations(200);
 
 // --- Scalar concave-envelope sweep: the reference BatchSolver matches.
 void BM_SweepCold(benchmark::State& state) {

@@ -24,11 +24,13 @@ VideoSession::VideoSession(Simulator& sim, HttpClient& http, Mpd mpd,
 void VideoSession::Start(SimTime start) {
   if (started_) return;
   started_ = true;
-  sim_.At(start, [this, alive = std::weak_ptr<char>(alive_)] {
-    if (alive.expired()) return;
-    live_origin_ = sim_.Now();
-    PumpLoop();
-  });
+  sim_.At(
+      start,
+      [this] {
+        live_origin_ = sim_.Now();
+        PumpLoop();
+      },
+      this);
 }
 
 void VideoSession::RebindHttp(HttpClient& http) {
@@ -40,12 +42,11 @@ void VideoSession::RebindHttp(HttpClient& http) {
     request_in_flight_ = false;
     if (!selections_.empty()) selections_.pop_back();
   }
-  if (started_ && !stopped_) {
-    sim_.After(0, [this, alive = std::weak_ptr<char>(alive_)] {
-      if (alive.expired()) return;
-      PumpLoop();
-    });
-  }
+  if (started_ && !stopped_) PumpAt(sim_.Now());
+}
+
+void VideoSession::PumpAt(SimTime at) {
+  sim_.At(at, [this] { PumpLoop(); }, this);
 }
 
 void VideoSession::PumpLoop() {
@@ -63,10 +64,7 @@ void VideoSession::PumpLoop() {
   }
 
   if (!player_.WantsMoreSegments()) {
-    sim_.After(config_.idle_poll, [this, alive = std::weak_ptr<char>(alive_)] {
-      if (alive.expired()) return;
-      PumpLoop();
-    });
+    PumpAt(sim_.Now() + config_.idle_poll);
     return;
   }
 
@@ -76,46 +74,39 @@ void VideoSession::PumpLoop() {
         live_origin_ + FromSeconds((segments_completed_ + 1) *
                                    mpd_.segment_duration_s);
     if (sim_.Now() < available_at) {
-      sim_.At(available_at, [this, alive = std::weak_ptr<char>(alive_)] {
-        if (alive.expired()) return;
-        PumpLoop();
-      });
+      PumpAt(available_at);
       return;
     }
   }
 
   // Give the ABR a chance to jitter the request time (FESTIVE's randomized
   // scheduling); the delay applies once per request.
-  AbrContext context;
-  context.mpd = &mpd_;
-  context.now = sim_.Now();
-  context.segment_number = segments_completed_;
-  context.last_index = selections_.empty() ? -1 : selections_.back();
-  context.buffer_s = player_.buffer_s();
-  const SimTime delay = abr_->RequestDelay(context);
+  const SimTime delay = abr_->RequestDelay(Context(/*with_history=*/false));
   if (delay > 0 && !delay_applied_) {
     delay_applied_ = true;
-    sim_.After(delay, [this, alive = std::weak_ptr<char>(alive_)] {
-      if (alive.expired()) return;
-      PumpLoop();
-    });
+    PumpAt(sim_.Now() + delay);
     return;
   }
   delay_applied_ = false;
   RequestSegment();
 }
 
-void VideoSession::RequestSegment() {
+AbrContext VideoSession::Context(bool with_history) const {
   AbrContext context;
   context.mpd = &mpd_;
   context.now = sim_.Now();
   context.segment_number = segments_completed_;
   context.last_index = selections_.empty() ? -1 : selections_.back();
   context.buffer_s = player_.buffer_s();
-  context.throughput_history_bps = throughputs_;
-  context.download_rate_history_bps = download_rates_;
+  if (with_history) {
+    context.throughput_history_bps = throughputs_;
+    context.download_rate_history_bps = download_rates_;
+  }
+  return context;
+}
 
-  int index = abr_->NextRepresentation(context);
+void VideoSession::RequestSegment() {
+  int index = abr_->NextRepresentation(Context(/*with_history=*/true));
   index = std::clamp(index, 0, mpd_.NumRepresentations() - 1);
   selections_.push_back(index);
 
@@ -142,15 +133,8 @@ void VideoSession::RequestSegment() {
       download_rates_.erase(download_rates_.begin());
     }
 
-    AbrContext context;
-    context.mpd = &mpd_;
-    context.now = sim_.Now();
-    context.segment_number = segments_completed_;
-    context.last_index = selections_.back();
-    context.buffer_s = player_.buffer_s();
-    context.throughput_history_bps = throughputs_;
-    context.download_rate_history_bps = download_rates_;
-    abr_->OnSegmentComplete(context, result.throughput_bps);
+    abr_->OnSegmentComplete(Context(/*with_history=*/true),
+                            result.throughput_bps);
 
     PumpLoop();
   });

@@ -38,6 +38,9 @@ class VideoSession {
                std::unique_ptr<AbrAlgorithm> abr,
                const VideoSessionConfig& config);
 
+  /// Cancels the session's pending timers.
+  ~VideoSession() { sim_.CancelOwned(this); }
+
   VideoSession(const VideoSession&) = delete;
   VideoSession& operator=(const VideoSession&) = delete;
 
@@ -56,7 +59,6 @@ class VideoSession {
   const VideoPlayer& player() const { return player_; }
   VideoPlayer& player() { return player_; }
   const Mpd& mpd() const { return mpd_; }
-  AbrAlgorithm& abr() { return *abr_; }
 
   int segments_completed() const { return segments_completed_; }
   /// Representation indices actually downloaded, in order.
@@ -65,14 +67,15 @@ class VideoSession {
   const std::vector<double>& throughput_history() const {
     return throughputs_;
   }
-  /// Per-segment receive-phase rates (bits/s), in order.
-  const std::vector<double>& download_rate_history() const {
-    return download_rates_;
-  }
 
  private:
   void PumpLoop();
+  /// Schedule PumpLoop at `at` as one of the session's owned events.
+  void PumpAt(SimTime at);
   void RequestSegment();
+  /// The ABR's view of the session now; the throughput histories are
+  /// copied only `with_history`.
+  AbrContext Context(bool with_history) const;
 
   Simulator& sim_;
   HttpClient* http_;  // non-owning; swappable via RebindHttp
@@ -91,9 +94,8 @@ class VideoSession {
   std::vector<int> selections_;
   std::vector<double> throughputs_;
   std::vector<double> download_rates_;
-  // Liveness token (TcpFlow's pattern): every scheduled pump/completion
-  // callback holds a weak_ptr, so a session destroyed mid-run (churn
-  // departure) leaves only no-op events behind.
+  // Guards the GET completion the HTTP client holds: the session cannot
+  // withdraw it when destroyed, since its client may already be gone.
   std::shared_ptr<char> alive_ = std::make_shared<char>(0);
 };
 

@@ -14,20 +14,37 @@ void EventQueue::PushKey(SimTime at, std::uint32_t tag) {
   std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
-void EventQueue::Push(SimTime at, EventFn fn) {
+void EventQueue::Push(SimTime at, EventFn fn, const void* owner) {
   std::uint32_t slot;
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
     free_slots_.pop_back();
-    slots_[slot] = std::move(fn);
+    slots_[slot].fn = std::move(fn);
+    slots_[slot].owner = owner;
   } else {
     if (slots_.size() >= kRecurring) {
       throw std::length_error("EventQueue: too many pending events");
     }
     slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.push_back(std::move(fn));
+    slots_.push_back(Slot{std::move(fn), owner});
   }
   PushKey(at, slot);
+}
+
+void EventQueue::CancelOwned(const void* owner) {
+  if (owner == nullptr) return;
+  for (Slot& slot : slots_) {
+    if (slot.owner == owner) {
+      slot.fn = nullptr;
+      slot.owner = nullptr;
+    }
+  }
+}
+
+std::size_t EventQueue::OwnedPending() const {
+  return static_cast<std::size_t>(std::count_if(
+      slots_.begin(), slots_.end(),
+      [](const Slot& slot) { return slot.owner != nullptr; }));
 }
 
 void EventQueue::PushEvery(SimTime at, SimTime period, EventFn fn) {
@@ -48,10 +65,12 @@ void EventQueue::RunNext() {
   // can grow (and reallocate) the slab or the task table under a
   // reference into them.
   if ((tag & kRecurring) == 0) {
-    EventFn fn = std::move(slots_[tag]);
-    slots_[tag] = nullptr;
+    Slot& slot = slots_[tag];
+    EventFn fn = std::move(slot.fn);
+    slot.fn = nullptr;
+    slot.owner = nullptr;
     free_slots_.push_back(tag);
-    fn();
+    if (fn) fn();
     return;
   }
   const std::uint32_t task = tag & ~kRecurring;

@@ -12,6 +12,8 @@
 // destroyed right after, so its captured state is released as soon as it
 // has fired. A recurring event keeps its callable in a task table and is
 // re-pushed with a fresh sequence number after each run.
+// A one-shot event may name an owner whose CancelOwned empties its slots
+// in place; each emptied slot is freed when its key pops.
 #pragma once
 
 #include <cstdint>
@@ -26,7 +28,14 @@ using EventFn = std::function<void()>;
 
 class EventQueue {
  public:
-  void Push(SimTime at, EventFn fn);
+  void Push(SimTime at, EventFn fn, const void* owner = nullptr);
+
+  /// Empties every pending callable pushed with `owner` (null: none).
+  /// Their keys stay and pop as no-ops, so size and order are unchanged.
+  void CancelOwned(const void* owner);
+
+  /// Pending one-shot callables that name an owner.
+  std::size_t OwnedPending() const;
 
   /// Run `fn` at `at`, then every `period` after the previous run. Each
   /// occurrence is re-pushed after `fn` returns, so an event `fn` pushes
@@ -39,8 +48,9 @@ class EventQueue {
   /// Time of the earliest pending event; undefined when empty.
   SimTime NextTime() const { return heap_.front().at; }
 
-  /// Pops and runs the earliest event. Caller must check Empty() first.
-  /// The callback may push events but must not Clear() the queue.
+  /// Pops and runs the earliest event (nothing, if it was cancelled).
+  /// Caller must check Empty() first. The callback may push and cancel
+  /// events but must not Clear() the queue.
   void RunNext();
 
   /// Drops every pending event (recurring ones included), releasing the
@@ -65,6 +75,10 @@ class EventQueue {
   /// A tag is a slab slot, or kRecurring | an index into tasks_.
   static constexpr int kTagBits = 24;
   static constexpr std::uint32_t kRecurring = 1u << (kTagBits - 1);
+  struct Slot {
+    EventFn fn;
+    const void* owner;
+  };
   struct Task {
     EventFn fn;
     SimTime period;
@@ -73,7 +87,7 @@ class EventQueue {
   void PushKey(SimTime at, std::uint32_t tag);
 
   std::vector<Key> heap_;
-  std::vector<EventFn> slots_;  // one-shot callbacks
+  std::vector<Slot> slots_;  // one-shot callbacks
   std::vector<std::uint32_t> free_slots_;
   std::vector<Task> tasks_;  // recurring callbacks, kept until Clear()
   std::uint64_t next_seq_ = 0;

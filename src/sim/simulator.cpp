@@ -5,12 +5,12 @@
 
 namespace flare {
 
-void Simulator::At(SimTime at, EventFn fn) {
-  queue_.Push(std::max(at, now_), std::move(fn));
+void Simulator::At(SimTime at, EventFn fn, const void* owner) {
+  queue_.Push(std::max(at, now_), std::move(fn), owner);
 }
 
-void Simulator::After(SimTime delay, EventFn fn) {
-  At(now_ + std::max<SimTime>(delay, 0), std::move(fn));
+void Simulator::After(SimTime delay, EventFn fn, const void* owner) {
+  At(now_ + std::max<SimTime>(delay, 0), std::move(fn), owner);
 }
 
 void Simulator::Every(SimTime start, SimTime period, EventFn fn) {

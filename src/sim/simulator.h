@@ -23,10 +23,18 @@ class Simulator {
   SimTime Now() const { return now_; }
 
   /// Schedule `fn` at absolute simulated time `at` (clamped to >= Now()).
-  void At(SimTime at, EventFn fn);
+  /// An object whose events capture `this` passes itself as `owner` and
+  /// calls CancelOwned(this) in its destructor.
+  void At(SimTime at, EventFn fn, const void* owner = nullptr);
 
   /// Schedule `fn` after a relative delay (clamped to >= 0).
-  void After(SimTime delay, EventFn fn);
+  void After(SimTime delay, EventFn fn, const void* owner = nullptr);
+
+  /// Drop `owner`'s pending events; each still counts in
+  /// events_processed() when it pops. Owners die before their simulator.
+  void CancelOwned(const void* owner) { queue_.CancelOwned(owner); }
+  /// Pending events that name an owner (cancelled ones excluded).
+  std::size_t owned_events() const { return queue_.OwnedPending(); }
 
   /// Schedule `fn` every `period` starting at `start` (clamped to
   /// >= Now()), until the run ends. The callback receives no arguments;

@@ -7,10 +7,6 @@ namespace flare {
 
 HttpClient::HttpClient(Simulator& sim, TcpFlow& flow)
     : sim_(sim), flow_(flow) {
-  // Liveness-guarded: client and flow are torn down separately (in either
-  // order, see the churn teardown path), so the callback left behind on a
-  // surviving flow must not deliver into a dead client — and the dying
-  // client must not reach back into a flow that may already be gone.
   flow_.SetOnReceive([this, alive = std::weak_ptr<char>(alive_)](
                          std::uint64_t bytes, SimTime now) {
     if (alive.expired()) return;
@@ -44,14 +40,8 @@ void HttpClient::StartNext() {
   current_ = std::move(in_flight);
 
   // The GET itself crosses the uplink before the server starts sending.
-  // Liveness-guarded: the client may be destroyed (session churn) while
-  // the request is still crossing the uplink.
   const std::uint64_t bytes = current_->request.bytes;
-  sim_.After(FromSeconds(0.02),
-             [this, bytes, alive = std::weak_ptr<char>(alive_)] {
-               if (alive.expired()) return;
-               flow_.Send(bytes);
-             });
+  sim_.After(FromSeconds(0.02), [this, bytes] { flow_.Send(bytes); }, this);
 }
 
 void HttpClient::OnReceive(std::uint64_t bytes, SimTime now) {

@@ -38,8 +38,9 @@ class HttpClient {
 
   HttpClient(Simulator& sim, TcpFlow& flow);
   /// Safe to destroy mid-request (session churn), in either order with
-  /// the flow: pending uplink events and the flow's receive callback are
-  /// liveness-guarded, so neither side calls into freed memory.
+  /// the flow: the destructor cancels a GET still on the uplink, and the
+  /// receive callback left on the flow is liveness-guarded.
+  ~HttpClient() { sim_.CancelOwned(this); }
 
   /// Issue a GET for a `bytes`-sized object. Requests queue FIFO if one is
   /// already in flight (HTTP/1.1 persistent connection semantics).
@@ -68,9 +69,8 @@ class HttpClient {
   };
   std::optional<InFlight> current_;
   ProgressFn on_progress_;
-  // Liveness token (TcpFlow's pattern): scheduled events capture a
-  // weak_ptr so a GET in flight when the client is destroyed mid-run
-  // cannot call back into freed memory.
+  // Guards the flow's receive callback, which the client cannot clear
+  // when destroyed: handover destroys the flow first.
   std::shared_ptr<char> alive_ = std::make_shared<char>(0);
 };
 

@@ -30,25 +30,24 @@ void TcpFlow::TryPush() {
   push_scheduled_ = true;
   app_pending_ -= can_send;
   inflight_bytes_ += can_send;
-  sim_.After(FromSeconds(config_.rtt_s / 2.0),
-             [this, can_send, alive = std::weak_ptr<char>(alive_)] {
-               if (alive.expired()) return;  // flow destroyed in flight
-               push_scheduled_ = false;
-               if (!cell_.HasFlow(flow_)) return;
-               cell_.Enqueue(flow_, can_send);  // overflow -> HandleDrop
-               TryPush();
-             });
+  sim_.After(
+      FromSeconds(config_.rtt_s / 2.0),
+      [this, can_send] {
+        push_scheduled_ = false;
+        if (!cell_.HasFlow(flow_)) return;
+        cell_.Enqueue(flow_, can_send);  // overflow -> HandleDrop
+        TryPush();
+      },
+      this);
 }
 
 void TcpFlow::HandleDelivery(std::uint64_t bytes, SimTime now) {
   bytes_delivered_ += bytes;
   if (on_receive_) on_receive_(bytes, now);
   // ACK returns a full RTT after over-the-air transmission.
-  sim_.After(FromSeconds(config_.rtt_s),
-             [this, bytes, alive = std::weak_ptr<char>(alive_)] {
-               if (alive.expired()) return;
-               OnAck(bytes, sim_.Now());
-             });
+  sim_.After(
+      FromSeconds(config_.rtt_s), [this, bytes] { OnAck(bytes, sim_.Now()); },
+      this);
 }
 
 void TcpFlow::OnAck(std::uint64_t bytes, SimTime now) {

@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 
 #include "lte/cell.h"
 #include "sim/simulator.h"
@@ -36,6 +35,8 @@ class TcpFlow {
   using ReceiveFn = std::function<void(std::uint64_t bytes, SimTime now)>;
 
   TcpFlow(Simulator& sim, Cell& cell, FlowId flow, const TcpConfig& config);
+  /// Cancels the flow's pending push and ACK events.
+  ~TcpFlow() { sim_.CancelOwned(this); }
 
   /// Queue application bytes for transfer (server-side send).
   void Send(std::uint64_t bytes);
@@ -75,10 +76,6 @@ class TcpFlow {
   SimTime last_loss_reaction_ = -1;
   std::uint64_t bytes_delivered_ = 0;
   bool push_scheduled_ = false;
-
-  // Liveness token: simulator events capture a weak_ptr to it so callbacks
-  // scheduled before the flow is destroyed become no-ops afterwards.
-  std::shared_ptr<char> alive_ = std::make_shared<char>(0);
 
   ReceiveFn on_receive_;
 };

@@ -54,22 +54,19 @@ void TransportHost::MakeGreedy(FlowId id) {
 }
 
 void TransportHost::ScheduleGreedyTick(FlowId id) {
-  // NOT sim_.Every: an Every task is uncancellable and would keep firing
-  // (and keep its captured state alive) for the whole run after the flow
-  // is destroyed — with session churn that is an unbounded leak of dead
-  // timers. The self-rescheduling chain stops at the first tick that
-  // finds the flow gone.
-  sim_.After(kGreedyTopUpPeriod, [this, id] {
-    if (greedy_.count(id) == 0) return;
-    TopUpGreedy(id);
-    ScheduleGreedyTick(id);
-  });
+  // Not sim_.Every, which cannot be cancelled: with session churn every
+  // destroyed flow would leave a timer firing for the rest of the run.
+  sim_.After(
+      kGreedyTopUpPeriod,
+      [this, id] {
+        if (greedy_.count(id) == 0) return;
+        TopUpGreedy(id);
+        ScheduleGreedyTick(id);
+      },
+      this);
 }
 
 void TransportHost::TopUpGreedy(FlowId id) {
-  // find(), not operator[]: the old greedy_[id] lookup re-inserted a
-  // default-constructed entry for every destroyed flow the stale timer
-  // polled, quietly regrowing the map forever.
   const auto it = flows_.find(id);
   if (it == flows_.end() || greedy_.count(id) == 0) return;
   // Keep the sender saturated: refill before the application backlog runs

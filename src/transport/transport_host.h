@@ -15,6 +15,8 @@ namespace flare {
 class TransportHost {
  public:
   TransportHost(Simulator& sim, Cell& cell);
+  /// Cancels the greedy top-up ticks; the flows cancel their own events.
+  ~TransportHost() { sim_.CancelOwned(this); }
 
   TransportHost(const TransportHost&) = delete;
   TransportHost& operator=(const TransportHost&) = delete;
@@ -35,9 +37,8 @@ class TransportHost {
 
  private:
   void TopUpGreedy(FlowId id);
-  /// Self-rescheduling top-up tick; the chain ends (and the captured
-  /// callable dies) once the flow leaves greedy_, so a destroyed flow's
-  /// timer does not tick for the rest of the run.
+  /// Self-rescheduling top-up tick; the chain ends at the first tick
+  /// that finds the flow gone from greedy_.
   void ScheduleGreedyTick(FlowId id);
 
   Simulator& sim_;

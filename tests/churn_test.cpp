@@ -19,9 +19,11 @@
 #include "has/video_session.h"
 #include "lte/gbr_scheduler.h"
 #include "lte/pf_scheduler.h"
+#include "net/pcrf.h"
 #include "net/oneapi_multi.h"
 #include "obs/metrics.h"
 #include "scenario/scenario.h"
+#include "scenario/scenario_world.h"
 #include "sim/simulator.h"
 #include "transport/http.h"
 #include "transport/transport_host.h"
@@ -579,6 +581,120 @@ TEST(TeardownRegression, VideoSessionSafeToDestroyMidDownload) {
   cell.ReleaseUe(ue);
   sim.RunUntil(FromSeconds(10.0));
   EXPECT_FALSE(transport.Has(flow));
+}
+
+// ------------------------------------------- owned-event teardown (ASan)
+//
+// Each owner below is destroyed with its events still queued, then the
+// simulator runs on. The owner's destructor must have cancelled them: a
+// surviving callback would touch freed memory, which the sanitize preset
+// turns into a failure.
+
+TEST(OwnedEventTeardown, FlowDestroyedWithPushAndAckInFlight) {
+  Simulator sim;
+  Cell cell(sim, std::make_unique<PfScheduler>(), CellConfig{}, Rng(5));
+  TransportHost transport(sim, cell);
+  const UeId ue = cell.AddUe(std::make_unique<StaticItbsChannel>(7));
+  TcpFlow& tcp = transport.CreateFlow(ue, FlowType::kData);
+  const FlowId flow = tcp.id();
+  tcp.Send(10'000'000);
+  cell.Start();
+  // Step until a push has just been scheduled (bytes left the app
+  // backlog this millisecond, and land at the eNB half an RTT later)
+  // while earlier deliveries still have their ACKs a full RTT out.
+  for (;;) {
+    const std::uint64_t pending = tcp.pending_bytes();
+    sim.RunUntil(sim.Now() + kMillisecond);
+    if (tcp.pending_bytes() < pending && tcp.bytes_delivered() > 0) break;
+    ASSERT_LT(sim.Now(), FromSeconds(5.0));
+  }
+  EXPECT_GE(sim.owned_events(), 2u);  // the push plus at least one ACK
+
+  const std::size_t depth = sim.queue_depth();
+  transport.DestroyFlow(flow);
+  EXPECT_EQ(sim.owned_events(), 0u);
+  EXPECT_EQ(sim.queue_depth(), depth);  // cancelled keys still pop
+  sim.RunUntil(sim.Now() + FromSeconds(1.0));
+  EXPECT_EQ(sim.owned_events(), 0u);
+  EXPECT_FALSE(cell.HasFlow(flow));
+}
+
+TEST(OwnedEventTeardown, HttpClientDestroyedWithGetOnTheUplink) {
+  Simulator sim;
+  Cell cell(sim, std::make_unique<PfScheduler>(), CellConfig{}, Rng(6));
+  TransportHost transport(sim, cell);
+  const UeId ue = cell.AddUe(std::make_unique<StaticItbsChannel>(7));
+  TcpFlow& tcp = transport.CreateFlow(ue, FlowType::kVideo);
+  cell.Start();
+  sim.RunUntil(FromSeconds(0.5));
+
+  auto http = std::make_unique<HttpClient>(sim, tcp);
+  bool completed = false;
+  http->Get(100'000, [&completed](const HttpResult&) { completed = true; });
+  sim.RunUntil(sim.Now() + FromSeconds(0.01));  // GET still on the uplink
+  EXPECT_EQ(sim.owned_events(), 1u);
+  http.reset();
+  EXPECT_EQ(sim.owned_events(), 0u);
+
+  sim.RunUntil(FromSeconds(3.0));
+  // The GET never reached the server: the surviving flow sent nothing.
+  EXPECT_FALSE(completed);
+  EXPECT_TRUE(tcp.Idle());
+  EXPECT_EQ(tcp.bytes_delivered(), 0u);
+}
+
+TEST(OwnedEventTeardown, VideoSessionDestroyedWithIdlePollPending) {
+  Simulator sim;
+  Cell cell(sim, std::make_unique<PfScheduler>(), CellConfig{}, Rng(7));
+  TransportHost transport(sim, cell);
+  const UeId ue = cell.AddUe(std::make_unique<StaticItbsChannel>(12));
+  TcpFlow& tcp = transport.CreateFlow(ue, FlowType::kVideo);
+  HttpClient http(sim, tcp);
+  VideoSessionConfig config;
+  config.player.max_buffer_s = 6.0;
+  auto session = std::make_unique<VideoSession>(
+      sim, http, MakeMpd({200}, 2.0), std::make_unique<BbaAbr>(), config);
+  cell.Start();
+  session->Start(0);
+  // Run until the buffer is full and the loop is parked on its idle
+  // poll: no request in flight, one timer of the session's own queued.
+  sim.RunUntil(FromSeconds(10.0));
+  ASSERT_FALSE(http.busy());
+  ASSERT_FALSE(session->player().WantsMoreSegments());
+  EXPECT_EQ(sim.owned_events(), 1u);
+
+  const std::uint64_t delivered = tcp.bytes_delivered();
+  session.reset();
+  EXPECT_EQ(sim.owned_events(), 0u);
+  sim.RunUntil(FromSeconds(30.0));
+  // A surviving poll would have issued the next GET on the live client.
+  EXPECT_FALSE(http.busy());
+  EXPECT_EQ(tcp.bytes_delivered(), delivered);
+}
+
+// Owners cancel through the simulator in their destructors, so every
+// owner must die before its Simulator; ScenarioWorld holds the simulator
+// by reference, and its callers declare the simulator first. A world
+// destroyed mid-run, churned sessions included, leaves no owned event
+// behind, and the simulator it ran on is then destroyed without being
+// advanced (the cell's TTI task and the control plane's timers are not
+// owned and would still reach the dead world).
+TEST(OwnedEventTeardown, WorldOwnersDieBeforeTheirSimulator) {
+  ScenarioConfig config = TestbedPreset(Scheme::kFlare);
+  config.n_video = 2;
+  config.n_data = 1;
+  config.churn.enabled = true;
+  config.churn.arrival_rate_per_s = 0.5;
+  config.churn.mean_hold_s = 10.0;
+  Simulator sim;
+  Pcrf pcrf;
+  auto world = std::make_unique<ScenarioWorld>(config, sim, pcrf,
+                                               Rng(config.seed));
+  world->Start();
+  sim.RunUntil(FromSeconds(30.0));
+  EXPECT_GT(sim.owned_events(), 0u);
+  world.reset();
+  EXPECT_EQ(sim.owned_events(), 0u);
 }
 
 TEST(ChurnMultiCell, ArrivalDuringHandoverIsAdmitted) {

@@ -1,6 +1,7 @@
 // Tests for the discrete-event simulation core.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <set>
 #include <utility>
@@ -119,6 +120,127 @@ TEST(EventQueue, ClearAndDestructionReleaseCaptures) {
   EXPECT_TRUE(watch_destroyed.expired());
 }
 
+// Owned events under heavy slot reuse: random pushes under a few owners,
+// pops, and whole-owner cancellations. The survivors must still fire in
+// (time, push order), each cancelled key must still pop (as a no-op), and
+// the queue's size never drops on a cancel.
+TEST(EventQueue, CancelOwnedKeepsSurvivorOrderAcrossSlotReuse) {
+  EventQueue q;
+  Rng rng(12);
+  int owners[4];
+  struct Pending {
+    int owner;
+    bool cancelled;
+  };
+  std::map<std::pair<SimTime, int>, Pending> pending;  // (at, push index)
+  std::pair<SimTime, int> fired{-1, -1};
+  int pushes = 0;
+  int cancels = 0;
+  int noop_pops = 0;
+  for (int op = 0; op < 100'000; ++op) {
+    const double u = rng.Uniform();
+    if (pending.empty() || u < 0.55) {
+      const SimTime at = static_cast<SimTime>(rng.UniformInt(0, 7));
+      const int owner = static_cast<int>(rng.UniformInt(0, 3));
+      const int index = pushes++;
+      pending.emplace(std::make_pair(at, index), Pending{owner, false});
+      q.Push(at, [&fired, at, index] { fired = {at, index}; },
+             &owners[owner]);
+    } else if (u < 0.57) {
+      const int owner = static_cast<int>(rng.UniformInt(0, 3));
+      q.CancelOwned(&owners[owner]);
+      for (auto& [key, event] : pending) {
+        if (event.owner == owner) event.cancelled = true;
+      }
+      ++cancels;
+    } else {
+      const auto head = pending.begin();
+      ASSERT_EQ(q.NextTime(), head->first.first);
+      fired = {-1, -1};
+      q.RunNext();
+      if (head->second.cancelled) {
+        ASSERT_EQ(fired, std::make_pair(SimTime{-1}, -1));
+        ++noop_pops;
+      } else {
+        ASSERT_EQ(fired, head->first);
+      }
+      pending.erase(head);
+    }
+    ASSERT_EQ(q.Size(), pending.size());
+  }
+  EXPECT_GT(cancels, 1000);
+  EXPECT_GT(noop_pops, 1000);
+}
+
+TEST(EventQueue, CancelOwnedReleasesOnlyThatOwnersCallables) {
+  EventQueue q;
+  int a = 0;
+  int b = 0;
+  auto payload = std::make_shared<int>(0);
+  std::weak_ptr<int> watch = payload;
+  std::vector<int> order;
+  q.Push(1, [&order, payload] { order.push_back(1); }, &a);
+  q.Push(2, [&order] { order.push_back(2); }, &b);
+  q.Push(3, [&order] { order.push_back(3); });
+  q.Push(4, [&order] { order.push_back(4); }, &a);
+  payload.reset();
+  EXPECT_EQ(q.OwnedPending(), 3u);
+  q.CancelOwned(&a);
+  EXPECT_TRUE(watch.expired());  // released at the cancel, not the pop
+  EXPECT_EQ(q.OwnedPending(), 1u);
+  EXPECT_EQ(q.Size(), 4u);  // the keys stay
+  while (!q.Empty()) q.RunNext();
+  EXPECT_EQ(order, (std::vector<int>{2, 3}));
+  EXPECT_EQ(q.OwnedPending(), 0u);
+}
+
+TEST(EventQueue, CancelUnknownOrDrainedOwnerDoesNothing) {
+  EventQueue q;
+  int owner = 0;
+  int stranger = 0;
+  int fired = 0;
+  q.Push(1, [&fired] { ++fired; }, &owner);
+  q.RunNext();  // drained
+  q.Push(2, [&fired] { ++fired; }, &stranger);
+  q.Push(3, [&fired] { ++fired; });
+  q.CancelOwned(&owner);
+  q.CancelOwned(nullptr);  // unowned events are not an owner's
+  q.CancelOwned(&fired);   // never used as an owner
+  EXPECT_EQ(q.Size(), 2u);
+  while (!q.Empty()) q.RunNext();
+  EXPECT_EQ(fired, 3);
+}
+
+// A cancelled event's key still names its slot, so the slot must stay out
+// of the free list until that key pops; reusing it earlier would run the
+// new event at the cancelled event's time as well.
+TEST(EventQueue, CancelledSlotIsReusedOnlyAfterItsKeyPops) {
+  EventQueue q;
+  int owner = 0;
+  std::vector<std::pair<SimTime, int>> fired;
+  SimTime now = 0;
+  q.Push(10, [&] { fired.emplace_back(now, 1); }, &owner);
+  q.CancelOwned(&owner);
+  q.Push(5, [&] { fired.emplace_back(now, 2); });
+  q.Push(20, [&] { fired.emplace_back(now, 3); });
+  while (!q.Empty()) {
+    now = q.NextTime();
+    q.RunNext();
+  }
+  EXPECT_EQ(fired, (std::vector<std::pair<SimTime, int>>{{5, 2}, {20, 3}}));
+
+  // After the cancelled key popped, its slot is free again.
+  q.Push(30, [&] { fired.emplace_back(now, 4); }, &owner);
+  q.CancelOwned(&owner);
+  q.Push(40, [&] { fired.emplace_back(now, 5); });
+  while (!q.Empty()) {
+    now = q.NextTime();
+    q.RunNext();
+  }
+  EXPECT_EQ(fired.back(), std::make_pair(SimTime{40}, 5));
+  EXPECT_EQ(fired.size(), 3u);
+}
+
 // A recurring event is re-pushed after its callback returns, so an event
 // the callback schedules for the next occurrence's instant fires first.
 TEST(EventQueue, RecurringEventRequeuesAfterItsCallback) {
@@ -211,6 +333,26 @@ TEST(Simulator, CountsProcessedEvents) {
   for (int i = 0; i < 5; ++i) sim.At(i, [] {});
   sim.RunUntil(10);
   EXPECT_EQ(sim.events_processed(), 5u);
+}
+
+// A cancelled event still counts when its time comes, exactly like the
+// no-op an expired liveness check used to leave behind, so sim.events
+// does not move when owners cancel instead.
+TEST(Simulator, CancelledEventsStillCountAsProcessed) {
+  MetricsRegistry registry;
+  Simulator sim;
+  sim.SetMetrics(&registry);
+  int owner = 0;
+  int fired = 0;
+  for (int i = 0; i < 3; ++i) sim.After(i + 1, [&fired] { ++fired; }, &owner);
+  sim.At(2, [&fired] { ++fired; });
+  sim.CancelOwned(&owner);
+  EXPECT_EQ(sim.owned_events(), 0u);
+  EXPECT_EQ(sim.queue_depth(), 4u);
+  sim.RunUntil(10);
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(sim.events_processed(), 4u);
+  EXPECT_EQ(registry.GetCounter("sim.events").value(), 4u);
 }
 
 // Regression: Every() used to store its repeating callable in a
